@@ -16,13 +16,19 @@ import (
 
 // buildReport is what one fresh build process prints.
 type buildReport struct {
-	LoadS      float64 `json:"load_s"`
-	BuildS     float64 `json:"build_s"`
-	SimEvals   int64   `json:"sim_evals"`
-	ScanRate   float64 `json:"scan_rate"`
-	Iterations int     `json:"iterations"`
-	Recall     float64 `json:"recall"`
-	RSSMB      float64 `json:"-"` // filled by the parent from the child's rusage
+	// LoadS and BuildS are in reference seconds (see hostspeed.go), the
+	// Raw fields as measured; the spans are wall-clock Unix ns.
+	LoadS      float64  `json:"load_s"`
+	BuildS     float64  `json:"build_s"`
+	LoadRawS   float64  `json:"load_raw_s"`
+	BuildRawS  float64  `json:"build_raw_s"`
+	LoadSpan   [2]int64 `json:"load_span"`
+	BuildSpan  [2]int64 `json:"build_span"`
+	SimEvals   int64    `json:"sim_evals"`
+	ScanRate   float64  `json:"scan_rate"`
+	Iterations int      `json:"iterations"`
+	Recall     float64  `json:"recall"`
+	RSSMB      float64  `json:"rss_mb"` // filled by the parent from the child's rusage
 }
 
 // buildOptions are the paper's default KIFF options (γ = 2k, β = 0.001)
@@ -52,14 +58,16 @@ func buildOnce(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep := buildReport{LoadS: time.Since(t).Seconds()}
+	end := time.Now()
+	rep := buildReport{LoadRawS: end.Sub(t).Seconds(), LoadSpan: [2]int64{t.UnixNano(), end.UnixNano()}}
 	opts := buildOptions(*workers)
 	t = time.Now()
 	res, err := kiff.Build(d, opts)
 	if err != nil {
 		return err
 	}
-	rep.BuildS = time.Since(t).Seconds()
+	end = time.Now()
+	rep.BuildRawS, rep.BuildSpan = end.Sub(t).Seconds(), [2]int64{t.UnixNano(), end.UnixNano()}
 	rep.SimEvals, rep.ScanRate, rep.Iterations = res.Run.SimEvals, res.Run.ScanRate(), res.Run.Iterations
 	if *recall {
 		if rep.Recall, err = kiff.Recall(d, res.Graph, opts, recallSample); err != nil {

@@ -31,6 +31,8 @@ type outcome struct {
 	Overshoot time.Duration
 	Service   time.Duration // sent to response read
 	Err       error
+	// Scale turns Latency into reference time (see hostspeed.go).
+	Scale float64
 }
 
 // waitUntil blocks until t. Go's timers wake a sleeper up to a

@@ -27,6 +27,8 @@ func main() {
 		switch os.Args[1] {
 		case "build-once":
 			err = buildOnce(os.Args[2:])
+		case "calibrate":
+			err = calibrate(os.Args[2:])
 		case "spread":
 			err = spreadMain(os.Args[2:], os.Stdout)
 		default:
@@ -91,7 +93,12 @@ func benchMain(args []string) error {
 	}
 	defer os.RemoveAll(cfg.Dir)
 
-	r := &run{cfg: cfg, m: newMetrics(), tails: newMetrics()}
+	speed, err := startSampler(filepath.Join(cfg.Dir, "hostspeed.bin"))
+	if err != nil {
+		return err
+	}
+	defer speed.stop()
+	r := &run{cfg: cfg, m: newMetrics(), tails: newMetrics(), speed: speed}
 	if cfg.Trace {
 		r.tr = newTracer()
 	}

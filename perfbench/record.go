@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // host is the fingerprint of the machine a record was measured on.
@@ -41,6 +40,7 @@ type runRecord struct {
 	Failed     int                  `json:"failed"`
 	Checks     []check              `json:"checks"`
 	Builds     []buildReport        `json:"builds"`
+	BootRawS   []float64            `json:"boot_raw_s,omitempty"`
 	Steps      map[string]stepStats `json:"steps"`
 	Probes     []stepStats          `json:"ladder_probes"`
 	Checkpoint []float64            `json:"checkpoint_ms"`
@@ -49,6 +49,9 @@ type runRecord struct {
 	// machine during the run (0 on bare metal): interference from other
 	// tenants, which no benchmark setting controls.
 	StealShare float64 `json:"steal_share"`
+	// HostKernelUs is the calibration kernel's mean CPU time over the
+	// run (see hostspeed.go): above refKernel, the host ran slow.
+	HostKernelUs float64 `json:"host_kernel_us"`
 }
 
 func (r *run) record() runRecord {
@@ -57,7 +60,7 @@ func (r *run) record() runRecord {
 		tails[name+".reads"] = supportedTail(s.Reads)
 		tails[name+".writes"] = supportedTail(s.Writes)
 	}
-	return runRecord{
+	rec := runRecord{
 		Host:       fingerprint(),
 		Config:     r.cfg,
 		Why:        r.wl.why,
@@ -72,12 +75,17 @@ func (r *run) record() runRecord {
 		Failed:     r.failed,
 		Checks:     r.checks,
 		Builds:     r.builds,
+		BootRawS:   r.bootRawS,
 		Steps:      r.steps,
 		Probes:     r.probes,
 		Checkpoint: r.checkpointMs,
 		TailPctile: tails,
-		StealShare: r.steal.share(readCPUTimes()),
+		StealShare: r.cpu.share(readCPUTimes()),
 	}
+	if h, err := r.speed.read(); err == nil {
+		rec.HostKernelUs = h.meanUs()
+	}
+	return rec
 }
 
 func (r *run) layerVals() map[string]metricVal {
@@ -109,22 +117,6 @@ func readCPUTimes() cpuTimes {
 	return t
 }
 
-// sampleSteal reads the CPU times at n+1 evenly spaced instants from
-// start to start+d and returns each interval's steal share. It blocks
-// until start+d.
-func sampleSteal(start time.Time, d time.Duration, n int) []float64 {
-	times := make([]cpuTimes, n+1)
-	for k := range times {
-		waitUntil(start.Add(d * time.Duration(k) / time.Duration(n)))
-		times[k] = readCPUTimes()
-	}
-	out := make([]float64, n)
-	for k := range out {
-		out[k] = times[k].share(times[k+1])
-	}
-	return out
-}
-
 // share is the steal share of the CPU time between t and now.
 func (t cpuTimes) share(now cpuTimes) float64 {
 	if now.total <= t.total {
@@ -151,9 +143,7 @@ func fingerprint() host {
 		}
 		f.Close()
 	}
-	if c := os.Getenv("PERFBENCH_COMMIT"); c != "" {
-		h.Commit = c
-	} else if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		h.Commit = strings.TrimSpace(string(out))
 	}
 	return h

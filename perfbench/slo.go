@@ -1,9 +1,7 @@
 package main
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"time"
 )
 
@@ -17,112 +15,59 @@ var sloLimits = limits{ReadP99Ms: 10, WriteP99Ms: 50}
 
 // stepStats summarizes one rate step (a phase or a ladder probe).
 //
-// A shared virtual machine loses the CPU to other tenants in bursts (the
-// steal time of /proc/stat), and one burst can double a step's
-// latencies. The figures are built to resist that:
-//
-//   - p50 is the smallest median over consecutive chunks of the step's
-//     requests (minChunkMedian): the median latency while the host was
-//     quiet. A slower program raises every chunk's median, so it shows.
-//   - p99 is taken over the requests of the least-stolen half of the
-//     step's windows (see cleanest), and ReadP99AllMs over all of them.
+// The medians are in reference milliseconds (see hostspeed.go): each
+// request's latency is scaled by the host speed sampled within
+// scaleWindow of its due time, so a host that slows down for a while does
+// not read as a slower program. The Raw medians and the p99s are as
+// measured.
 type stepStats struct {
-	Rate       float64 `json:"rate"`
-	Reads      int     `json:"reads"`
-	Writes     int     `json:"writes"`
-	Failed     int     `json:"failed"`
-	ReadP50Ms  float64 `json:"read_p50_ms"`
-	ReadP99Ms  float64 `json:"read_p99_ms"`
-	WriteP50Ms float64 `json:"write_p50_ms"`
-	WriteP99Ms float64 `json:"write_p99_ms"`
-	// The read and write p99 over every request of the step.
-	ReadP99AllMs  float64 `json:"read_p99_all_ms"`
-	WriteP99AllMs float64 `json:"write_p99_all_ms"`
+	Rate          float64 `json:"rate"`
+	Reads         int     `json:"reads"`
+	Writes        int     `json:"writes"`
+	Failed        int     `json:"failed"`
+	ReadP50Ms     float64 `json:"read_p50_ms"`
+	ReadP50RawMs  float64 `json:"read_p50_raw_ms"`
+	ReadP99Ms     float64 `json:"read_p99_ms"`
+	WriteP50Ms    float64 `json:"write_p50_ms"`
+	WriteP50RawMs float64 `json:"write_p50_raw_ms"`
+	WriteP99Ms    float64 `json:"write_p99_ms"`
 	// LagP99Ms is the p99 of generator overshoot (see outcome).
 	LagP99Ms float64 `json:"lag_p99_ms"`
-	// BacklogMs is the median send lag over the step's last window:
+	// BacklogMs is the median send lag over the step's last tenth:
 	// above the read limit, the backlog was growing.
 	BacklogMs float64 `json:"backlog_ms"`
-	// Steal is the stolen CPU share of each window.
-	Steal []float64 `json:"window_steal"`
 }
 
-// stolen is the mean stolen CPU share over the step's windows.
-func (s stepStats) stolen() float64 {
-	t := 0.0
-	for _, v := range s.Steal {
-		t += v
-	}
-	return t / float64(max(len(s.Steal), 1))
-}
+// scaleWindow is the interval around a request's due time whose host
+// speed samples scale its latency.
+const scaleWindow = 500 * time.Millisecond
 
-// stepWindows is the number of windows a step is cut into.
-const stepWindows = 10
-
-// minChunk is the fewest requests a chunk's median is taken over.
-const minChunk = 100
-
-// minChunkMedian cuts l (in send order) into equal consecutive chunks of
-// at least minChunk samples, at most stepWindows of them, and returns
-// the smallest chunk median in milliseconds (0 for no samples).
-func minChunkMedian(l latencies) float64 {
-	if len(l) == 0 {
-		return 0
-	}
-	n := max(min(stepWindows, len(l)/minChunk), 1)
-	best := math.Inf(1)
-	for c := 0; c < n; c++ {
-		best = math.Min(best, l[c*len(l)/n:(c+1)*len(l)/n].pct(50))
-	}
-	return best
-}
-
-// summarize computes a step's figures; steal holds the stolen CPU share
-// of each window (nil: treat every window as clean).
-func summarize(rate float64, out []outcome, steal []float64) stepStats {
-	s := stepStats{Rate: rate, Steal: steal}
-	var reads, writes, lags latencies
-	var win [stepWindows]struct{ reads, writes, lags latencies }
+// summarize computes a step's figures from its outcomes in send order.
+func summarize(rate float64, out []outcome) stepStats {
+	s := stepStats{Rate: rate}
+	var reads, writes, readsRef, writesRef, overshoot, backlog latencies
 	for i, o := range out {
-		w := &win[i*stepWindows/len(out)]
 		if o.Err != nil {
 			s.Failed++
 		}
+		ref := time.Duration(float64(o.Latency) * o.Scale)
 		switch {
 		case o.Kind.isRead():
-			reads = append(reads, o.Latency)
-			w.reads = append(w.reads, o.Latency)
+			reads, readsRef = append(reads, o.Latency), append(readsRef, ref)
 		case o.Kind.isWrite():
-			writes = append(writes, o.Latency)
-			w.writes = append(w.writes, o.Latency)
+			writes, writesRef = append(writes, o.Latency), append(writesRef, ref)
 		}
-		lags = append(lags, o.Overshoot)
-		w.lags = append(w.lags, o.Lag)
+		overshoot = append(overshoot, o.Overshoot)
+		if i >= len(out)-len(out)/10 {
+			backlog = append(backlog, o.Lag)
+		}
 	}
 	s.Reads, s.Writes = len(reads), len(writes)
-	var cr, cw latencies
-	for _, i := range cleanest(steal, stepWindows) {
-		cr, cw = append(cr, win[i].reads...), append(cw, win[i].writes...)
-	}
-	s.ReadP50Ms, s.ReadP99Ms = minChunkMedian(reads), cr.pct(99)
-	s.WriteP50Ms, s.WriteP99Ms = minChunkMedian(writes), cw.pct(99)
-	s.ReadP99AllMs, s.WriteP99AllMs = reads.pct(99), writes.pct(99)
-	s.LagP99Ms = lags.pct(99)
-	s.BacklogMs = win[stepWindows-1].lags.pct(50)
+	s.ReadP50Ms, s.ReadP50RawMs, s.ReadP99Ms = readsRef.pct(50), reads.pct(50), reads.pct(99)
+	s.WriteP50Ms, s.WriteP50RawMs, s.WriteP99Ms = writesRef.pct(50), writes.pct(50), writes.pct(99)
+	s.LagP99Ms = overshoot.pct(99)
+	s.BacklogMs = backlog.pct(50)
 	return s
-}
-
-// cleanest returns the indices of the least-stolen half (rounded up) of
-// n windows, earliest first among equals.
-func cleanest(steal []float64, n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	if len(steal) == n {
-		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(steal[a], steal[b]) })
-	}
-	return idx[:(n+1)/2]
 }
 
 // meets reports whether a step met the limits: no failed request, read
@@ -166,10 +111,7 @@ func searchSLO(rates []float64, known int, l limits, probe func(rate float64) st
 
 // probeLength is the duration of one ladder probe; a probe whose sends
 // fall probeAbortLag behind has failed and stops early.
-// A failed probe during which more than probeRetrySteal of the CPU was
-// stolen is measured once more.
 const (
-	probeLength     = time.Second
-	probeAbortLag   = 100 * time.Millisecond
-	probeRetrySteal = 0.03
+	probeLength   = time.Second
+	probeAbortLag = 100 * time.Millisecond
 )

@@ -56,42 +56,22 @@ func TestLimitsRejectFailuresWritesAndBacklog(t *testing.T) {
 
 func TestRungAtOrBelow(t *testing.T) {
 	rungs := ladder(250, ladderRatio, ladderRungs)
-	if i := rungAtOrBelow(rungs, 1600); rungs[i] > 1600 || rungs[i+1] <= 1600 || i != 42 {
+	if i := rungAtOrBelow(rungs, 1600); rungs[i] > 1600 || rungs[i+1] <= 1600 || i != 10 {
 		t.Errorf("rungAtOrBelow(1600) = %d (%v)", i, rungs[i])
 	}
 }
 
-func TestCleanestTakesLeastStolenHalf(t *testing.T) {
-	got := cleanest([]float64{0.3, 0, 0.1, 0.5, 0, 0.2}, 6)
-	if !slices.Equal(got, []int{1, 4, 2}) {
-		t.Errorf("cleanest = %v, want [1 4 2]", got)
+func TestSummarizeScalesMedians(t *testing.T) {
+	var out []outcome
+	for i := 1; i <= 5; i++ {
+		out = append(out, outcome{Kind: opNeighbors, Latency: time.Duration(i) * time.Millisecond, Scale: 0.5})
 	}
-	if got := cleanest(nil, 5); !slices.Equal(got, []int{0, 1, 2}) {
-		t.Errorf("cleanest without steal = %v, want the first three", got)
+	out = append(out, outcome{Kind: opRating, Latency: 8 * time.Millisecond, Scale: 2})
+	s := summarize(100, out)
+	if s.ReadP50Ms != 1.5 || s.ReadP50RawMs != 3 || s.ReadP99Ms != 5 {
+		t.Errorf("reads: p50 %v raw %v p99 %v, want 1.5, 3, 5", s.ReadP50Ms, s.ReadP50RawMs, s.ReadP99Ms)
 	}
-}
-
-func TestMinChunkMedian(t *testing.T) {
-	ms := func(vals ...float64) latencies {
-		var l latencies
-		for _, v := range vals {
-			l = append(l, time.Duration(v*1e6))
-		}
-		return l
-	}
-	if got := minChunkMedian(nil); got != 0 {
-		t.Errorf("empty: %v", got)
-	}
-	// Fewer than two chunks' worth: the plain median.
-	if got := minChunkMedian(ms(5, 1, 3)); got != 3 {
-		t.Errorf("small sample: %v, want 3", got)
-	}
-	// 300 samples, three chunks with medians 7, 2 and 9: the quietest wins.
-	var l latencies
-	for _, v := range []float64{7, 2, 9} {
-		l = append(l, ms(slices.Repeat([]float64{v}, minChunk)...)...)
-	}
-	if got := minChunkMedian(l); got != 2 {
-		t.Errorf("chunked: %v, want 2", got)
+	if s.WriteP50Ms != 16 || s.WriteP50RawMs != 8 {
+		t.Errorf("writes: p50 %v raw %v, want 16, 8", s.WriteP50Ms, s.WriteP50RawMs)
 	}
 }

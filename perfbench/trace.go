@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -126,8 +127,9 @@ func (r *run) constructionLayers() error {
 	return nil
 }
 
-// readLayers replays the base phase's reads through the in-process
-// server handler (outer) and the snapshot call it makes (inner).
+// readLayers replays the base phase's reads through a loopback HTTP
+// client, the in-process server handler (outer) and the snapshot call
+// it makes (inner).
 func (r *run) readLayers() error {
 	snap, srv, err := staticServer(r.ckpt0)
 	if err != nil {
@@ -135,17 +137,26 @@ func (r *run) readLayers() error {
 	}
 	defer srv.Close()
 	h := srv.Handler()
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	client := newHTTPTarget(ts.URL, 1)
+	defer client.close()
 
 	var handler [numOpKinds]latencies
-	var snapNb, query latencies
-	var handlerAll latencies
+	var snapNb, query, transport latencies
 	var spans []span
 	candidates, queries := 0, 0
 	for _, o := range r.selectOps(replayReads, baseReads) {
+		t := time.Now()
+		if _, err := client.fetch(0, o); err != nil {
+			return err
+		}
+		viaHTTP := time.Since(t)
 		start := time.Now()
 		serveInProcess(h, o)
 		outer := time.Since(start)
-		t := time.Now()
+		transport = append(transport, max(viaHTTP-outer, 0))
+		t = time.Now()
 		switch o.Kind {
 		case opNeighbors:
 			snap.Neighbors(o.User)
@@ -156,7 +167,6 @@ func (r *run) readLayers() error {
 		}
 		inner := time.Since(t)
 		handler[o.Kind] = append(handler[o.Kind], outer)
-		handlerAll = append(handlerAll, outer)
 		switch o.Kind {
 		case opNeighbors:
 			snapNb = append(snapNb, inner)
@@ -191,24 +201,7 @@ func (r *run) readLayers() error {
 	r.layer.set("core.query_us.p99", "us", query.pct(99)*1e3)
 	r.layer.set("core.candidates_per_query", "count", float64(candidates)/float64(max(queries, 1)))
 
-	// Client-observed service time minus handler time, on the same
-	// phase's reads; zero for the in-process build workload.
-	transport := 0.0
-	if !r.wl.lib {
-		var service latencies
-		for _, ph := range r.phases {
-			if ph.name != "base" {
-				continue
-			}
-			for _, o := range ph.out {
-				if o.Kind.isRead() && o.Err == nil {
-					service = append(service, o.Service)
-				}
-			}
-		}
-		transport = (service.pct(50) - handlerAll.pct(50)) * 1e3
-	}
-	r.layer.set("http.transport_us", "us", transport)
+	r.layer.set("http.transport_us", "us", transport.pct(50)*1e3)
 	return nil
 }
 
@@ -340,8 +333,8 @@ func (r *run) writeLayers() error {
 	r.layer.set("knngraph.pages_copied_per_publish", "count", float64(c1.PagesCopied-c0.PagesCopied)/pubs)
 	r.layer.set("knngraph.pages_shared_per_publish", "count", float64(c1.PagesShared-c0.PagesShared)/pubs)
 	bytesPerWrite, fsyncsPerWrite := float64(wc.AppendedBytes)/w, float64(len(fsyncT))/w
-	if bw, fw, ok := r.servedWAL(); ok {
-		bytesPerWrite, fsyncsPerWrite = bw, fw
+	if d, writes := r.perWrite("kiffserve_wal_appended_bytes_total", "kiffserve_wal_fsyncs_total"); writes > 0 {
+		bytesPerWrite, fsyncsPerWrite = d[0], d[1]
 	}
 	r.layer.set("wal.bytes_per_write", "B", bytesPerWrite)
 	r.layer.set("wal.fsyncs_per_write", "count", fsyncsPerWrite)
@@ -364,42 +357,38 @@ func (r *run) writeLayers() error {
 	return nil
 }
 
-// servedWAL returns the served run's WAL bytes and fsyncs per
-// acknowledged write, from the /metrics scrapes around its phases.
-func (r *run) servedWAL() (bytesPerWrite, fsyncsPerWrite float64, ok bool) {
-	var bytes, fsyncs, writes float64
+// perWrite returns the deltas of the named /metrics counters over the
+// scraped phases of a traced served run, each divided by the phases'
+// acknowledged writes, and that write count.
+func (r *run) perWrite(names ...string) ([]float64, float64) {
+	deltas := make([]float64, len(names))
+	writes := 0.0
 	for _, ph := range r.phases {
 		if ph.before == nil {
 			continue
 		}
-		bytes += ph.after["kiffserve_wal_appended_bytes_total"] - ph.before["kiffserve_wal_appended_bytes_total"]
-		fsyncs += ph.after["kiffserve_wal_fsyncs_total"] - ph.before["kiffserve_wal_fsyncs_total"]
+		for j, n := range names {
+			deltas[j] += ph.after[n] - ph.before[n]
+		}
 		for i := range ph.ops {
 			if ackedWrites(&ph, i) {
 				writes++
 			}
 		}
 	}
-	if writes == 0 {
-		return 0, 0, false
+	for j := range deltas {
+		deltas[j] /= max(writes, 1)
 	}
-	return bytes / writes, fsyncs / writes, true
+	return deltas, writes
 }
 
 // trafficLayers reports what the traced traffic itself showed: the
-// server's writer and queue meters, generator lag, and the tracing
-// overhead (traced minus untraced read p50 on the same base-rate ops).
+// server writer's batches per acknowledged write, generator lag, and the
+// tracing overhead (traced minus untraced read p50 on the same base-rate
+// ops).
 func (r *run) trafficLayers() {
-	var batches, depth float64
-	for _, ph := range r.phases {
-		if ph.before == nil {
-			continue
-		}
-		batches += ph.after["kiffserve_writer_batches_total"] - ph.before["kiffserve_writer_batches_total"]
-		depth = max(depth, ph.before["kiffserve_mutation_queue_depth"], ph.after["kiffserve_mutation_queue_depth"])
-	}
-	r.layer.set("server.writer.batches", "count", batches)
-	r.layer.set("server.queue_depth.max", "count", depth)
+	batches, _ := r.perWrite("kiffserve_writer_batches_total")
+	r.layer.set("server.writer.batches_per_write", "count", batches[0])
 	r.layer.set("loadgen.lag_p99_ms", "ms", r.steps["base"].LagP99Ms)
 	r.layer.set("trace.overhead_ms", "ms", r.steps["base"].ReadP50Ms-r.steps["base-untraced"].ReadP50Ms)
 }
@@ -422,6 +411,6 @@ var layerNames = func() []string {
 		"similarity.sim_evals_per_write",
 		"wal.append_us", "wal.fsync_us", "wal.bytes_per_write", "wal.fsyncs_per_write",
 		"knngraph.publish_us", "knngraph.pages_copied_per_publish", "knngraph.pages_shared_per_publish",
-		"fsio.checkpoint_s", "arena.checkpoint_mb", "server.writer.batches", "server.queue_depth.max",
+		"fsio.checkpoint_s", "arena.checkpoint_mb", "server.writer.batches_per_write",
 		"kiff.boot.load_mapped_s", "kiff.boot.warm_start_s", "loadgen.lag_p99_ms", "trace.overhead_ms")
 }()

@@ -17,7 +17,7 @@ import (
 
 // bootsPerRun is how many times a served run boots kiffserve; setup_s is
 // the median boot, and the last boot serves the traffic.
-const bootsPerRun = 3
+const bootsPerRun = 5
 
 // gateSample is the number of seeded requests each final-state check
 // compares.
@@ -27,7 +27,8 @@ const gateSample = 200
 // runs the workload's phases and correctness checks against it.
 func (r *run) servedTraffic() error {
 	bin := filepath.Join(r.cfg.Bin, "kiffserve")
-	var boots []float64
+	type span struct{ start, end time.Time }
+	var boots []span
 	var srv *serverProc
 	for i := 0; i < bootsPerRun; i++ {
 		s, d, err := bootServer(bin, r.ckpt0, filepath.Join(r.cfg.Dir, fmt.Sprintf("boot%d", i)), r.cfg.Workers, 2)
@@ -35,7 +36,8 @@ func (r *run) servedTraffic() error {
 		if err != nil {
 			return err
 		}
-		boots = append(boots, d.Seconds())
+		end := time.Now()
+		boots = append(boots, span{end.Add(-d), end})
 		if i < bootsPerRun-1 {
 			if _, err := s.stop(); err != nil {
 				return err
@@ -44,7 +46,17 @@ func (r *run) servedTraffic() error {
 			srv = s
 		}
 	}
-	r.m.set("setup_s", "s", median(boots))
+	h, err := r.speed.read()
+	if err != nil {
+		_, _ = srv.stop()
+		return err
+	}
+	var bootS []float64
+	for _, b := range boots {
+		r.bootRawS = append(r.bootRawS, b.end.Sub(b.start).Seconds())
+		bootS = append(bootS, b.end.Sub(b.start).Seconds()*h.scale(b.start, b.end))
+	}
+	r.m.set("setup_s", "s", median(bootS))
 	// Whatever fails below, the server is stopped and waited for.
 	stopped := false
 	defer func() {

@@ -28,13 +28,13 @@ type workload struct {
 	// baseShare and peakShare are the shares of --seconds the two fixed
 	// rates run for; the qps_at_slo ladder probes run after them.
 	baseShare, peakShare float64
-	// writeTail adds write-only phases at the read/write mix's write
-	// rates after the read phases, so a read-only workload still
+	// writeTail adds a write-only phase at the read/write mix's base
+	// write rate after the read phases, so a read-only workload still
 	// reports write latency without writes running under its reads.
 	writeTail bool
 }
 
-const minBuilds = 5
+const minBuilds = 7
 
 // mixedBase and mixedPeak are the total request rates of the read/write
 // mix; writeTail phases run at their write share.
@@ -47,22 +47,22 @@ var workloads = map[string]workload{
 	"build": {
 		why:        "cold KIFF builds of the Arxiv replica in fresh processes, then the read/write mix on the library in-process: construction shows, server/HTTP/WAL changes read flat",
 		lib:        true,
-		buildShare: 0.55,
+		buildShare: 0.45,
 		mix:        readWrite, base: mixedBase, peak: mixedPeak,
-		baseShare: 0.15, peakShare: 0.1,
+		baseShare: 0.35, peakShare: 0.1,
 	},
 	"serve-read": {
 		why:        "read-only open-loop traffic on kiffserve over loopback: snapshot reads and exact queries bypass the writer, WAL, rebuild and publish",
 		buildShare: 0,
 		mix:        readOnly, base: 1000, peak: 1600,
-		baseShare: 0.3, peakShare: 0.2,
+		baseShare: 0.4, peakShare: 0.1,
 		writeTail: true,
 	},
 	"serve-mixed": {
 		why:        "reads on one connection while single writes run one at a time on the other: WAL fsync, Rebuild, copy-on-write publish and checkpoints under reads",
 		buildShare: 0,
 		mix:        readWrite, base: mixedBase, peak: mixedPeak,
-		baseShare: 0.5, peakShare: 0.3,
+		baseShare: 0.55, peakShare: 0.15,
 	},
 }
 
@@ -88,6 +88,7 @@ type run struct {
 	cfg       config
 	wl        workload
 	tr        *tracer
+	speed     *hostSampler
 	m         *metrics
 	attempted int
 	failed    int
@@ -104,7 +105,10 @@ type run struct {
 	seq    int        // sequence number of the next seeded phase
 	layer  *metrics   // per-layer metrics (traced runs)
 	tails  *metrics   // tail latencies and qps_at_slo (run record only)
-	steal  cpuTimes   // CPU times at the start of the run
+	cpu    cpuTimes   // CPU times at the start of the run
+	// bootRawS are the measured kiffserve boot times (setup_s is in
+	// reference seconds).
+	bootRawS []float64
 	// checkpointMs are the latencies of the checkpoints between phases.
 	checkpointMs []float64
 }
@@ -129,7 +133,7 @@ func (r *run) gate(name string, ok bool, detail string) {
 func (r *run) execute() error {
 	r.wl = workloads[r.cfg.Workload]
 	r.steps = make(map[string]stepStats)
-	r.steal = readCPUTimes()
+	r.cpu = readCPUTimes()
 	if err := r.prepareFixture(); err != nil {
 		return err
 	}
@@ -207,10 +211,17 @@ func (r *run) coldBuilds() error {
 		}
 		r.builds = append(r.builds, rep)
 	}
+	h, err := r.speed.read()
+	if err != nil {
+		return err
+	}
 	first := r.builds[0]
 	same := true
 	var buildS, loadS, rss []float64
-	for _, b := range r.builds {
+	for i := range r.builds {
+		b := &r.builds[i]
+		b.LoadS = b.LoadRawS * h.scale(time.Unix(0, b.LoadSpan[0]), time.Unix(0, b.LoadSpan[1]))
+		b.BuildS = b.BuildRawS * h.scale(time.Unix(0, b.BuildSpan[0]), time.Unix(0, b.BuildSpan[1]))
 		same = same && b.SimEvals == first.SimEvals
 		buildS, loadS, rss = append(buildS, b.BuildS), append(loadS, b.LoadS), append(rss, b.RSSMB)
 	}
@@ -263,22 +274,34 @@ func (r *run) phase(tg target, srv *serverProc, ps phaseSpec) (stepStats, error)
 		abort = probeAbortLag
 	}
 	id, start := tr.reserve(), time.Now().Add(20*time.Millisecond)
-	steal := make(chan []float64, 1)
-	go func() { steal <- sampleSteal(start, ps.dur, stepWindows) }()
 	pr.out = runOpenLoop(tg, ops, 2, start, abort, tr, id)
 	tr.record(id, 0, 0, "phase/"+ps.name, start, time.Now())
-	windowSteal := <-steal
 	if r.cfg.Trace && srv != nil {
 		if pr.after, err = srv.scrape(); err != nil {
 			return stepStats{}, err
 		}
 	}
+	h, err := r.speed.read()
+	if err != nil {
+		return stepStats{}, err
+	}
+	for i := range pr.out {
+		due := start.Add(ops[i].Due)
+		pr.out[i].Scale = h.scale(due.Add(-scaleWindow/2), due.Add(scaleWindow/2))
+	}
+	timed := pr.out
 	if r.wl.lib {
 		// No queue stands in front of an in-process call, so a library
 		// request's latency is the call's own time; the lane's wait
-		// still shows as lag and backlog.
+		// still shows as lag and backlog. Only the exact queries are
+		// timed among the reads: in process, Snapshot.Neighbors is an
+		// atomic load and a slice return, too little work for a figure.
+		timed = nil
 		for i := range pr.out {
 			pr.out[i].Latency = pr.out[i].Service
+			if pr.out[i].Kind != opNeighbors {
+				timed = append(timed, pr.out[i])
+			}
 		}
 	}
 	r.phases = append(r.phases, pr)
@@ -291,7 +314,7 @@ func (r *run) phase(tg target, srv *serverProc, ps phaseSpec) (stepStats, error)
 			r.failed++
 		}
 	}
-	st := summarize(ps.rate, pr.out, windowSteal)
+	st := summarize(ps.rate, timed)
 	r.steps[ps.name] = st
 	return st, nil
 }
@@ -362,10 +385,6 @@ func (r *run) measured(tg target, srv *serverProc) error {
 	best, probes := searchSLO(rungs, known, sloLimits, func(rate float64) stepStats {
 		ps := phaseSpec{name: fmt.Sprintf("probe-%.0f", rate), mix: r.wl.mix, rate: rate, dur: probeLength, probe: true}
 		s, perr := r.phase(tg, srv, ps)
-		if perr == nil && !sloLimits.meets(s) && s.stolen() > probeRetrySteal {
-			// Failed while other tenants held the CPU: measure again.
-			s, perr = r.phase(tg, srv, ps)
-		}
 		if perr != nil {
 			err = perr
 		}
@@ -384,10 +403,11 @@ func (r *run) measured(tg target, srv *serverProc) error {
 }
 
 // The qps_at_slo ladder: rates from a quarter of the base rate upward in
-// steps of 2^(1/16) (≈ 4.4 %), up to 8× the base rate.
+// steps of 2^(1/4) (≈ 19 %), up to 8× the base rate. Bisecting it from
+// the peak rate takes three or four one-second probes.
 const (
-	ladderRatio = 1.0442737824274138
-	ladderRungs = 81
+	ladderRatio = 1.189207115002721
+	ladderRungs = 21
 )
 
 // rungAtOrBelow is the index of the highest rung ≤ rate.
@@ -399,18 +419,12 @@ func rungAtOrBelow(rungs []float64, rate float64) int {
 	return i
 }
 
-// writeTail runs write-only phases at the read/write mix's write rates.
+// writeTail runs a write-only phase at the read/write mix's base write
+// rate.
 func (r *run) writeTail(tg target, srv *serverProc) error {
-	ws := readWrite.writeShare
-	for _, ps := range []phaseSpec{
-		{name: "write-base", mix: writeOnly, rate: mixedBase * ws, dur: r.share(0.15)},
-		{name: "write-peak", mix: writeOnly, rate: mixedPeak * ws, dur: r.share(0.1)},
-	} {
-		if _, err := r.phase(tg, srv, ps); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := r.phase(tg, srv, phaseSpec{name: "write-base", mix: writeOnly,
+		rate: mixedBase * readWrite.writeShare, dur: r.share(0.25)})
+	return err
 }
 
 // e2eNames lists every end-to-end metric; each run reports all of them.
@@ -429,7 +443,10 @@ func (r *run) trafficMetrics() {
 	r.tails.set("read_p50_ms.peak", "ms", peak.ReadP50Ms)
 	r.tails.set("read_p99_ms.peak", "ms", peak.ReadP99Ms)
 	if r.wl.writeTail {
-		base, peak = r.steps["write-base"], r.steps["write-peak"]
+		tail := r.steps["write-base"]
+		r.m.set("write_p50_ms", "ms", tail.WriteP50Ms)
+		r.tails.set("write_p99_ms", "ms", tail.WriteP99Ms)
+		return
 	}
 	r.m.set("write_p50_ms", "ms", base.WriteP50Ms)
 	r.tails.set("write_p99_ms", "ms", base.WriteP99Ms)
