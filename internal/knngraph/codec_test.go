@@ -144,6 +144,24 @@ func TestGraphBinaryRejectsAdversarialLengths(t *testing.T) {
 	}
 }
 
+// TestGraphBinaryRejectsOutOfRangeNeighbor: a checkpoint naming a
+// neighbor beyond the user count carries a valid checksum (the writer
+// does not validate), so only the structural check can refuse it — on
+// both the streaming and the zero-copy decode paths.
+func TestGraphBinaryRejectsOutOfRangeNeighbor(t *testing.T) {
+	g := New(2, [][]Neighbor{{{ID: 1, Sim: 0.9}, {ID: 3, Sim: 0.5}}, {{ID: 0, Sim: 0.9}}, nil})
+	var buf bytes.Buffer
+	if _, err := g.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); !errors.Is(err, arena.ErrCorrupt) {
+		t.Fatalf("ReadBinary: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := ViewBinary(buf.Bytes()); !errors.Is(err, arena.ErrCorrupt) {
+		t.Fatalf("ViewBinary: err = %v, want ErrCorrupt", err)
+	}
+}
+
 // FuzzGraphDecode asserts the binary decoder never panics, and that every
 // accepted graph is valid and re-encodes byte-identically.
 func FuzzGraphDecode(f *testing.F) {

@@ -172,6 +172,23 @@ func FromSet(s *knnheap.Set) *Graph {
 	return fromParts(s.K(), offsets, entries)
 }
 
+// Clone returns a copy of g on freshly allocated flat arrays: edge-for-
+// edge equal to g, sharing no storage with it — so the copy outlives a
+// mapping that backs g (see Mapped.Close).
+func (g *Graph) Clone() *Graph {
+	offsets := make([]int64, 1, g.numUsers+1)
+	entries := make([]Neighbor, 0, g.numEdges)
+	for p := range g.pages {
+		pg := &g.pages[p]
+		base := pg.offsets[0] - int64(len(entries))
+		for _, off := range pg.offsets[1:] {
+			offsets = append(offsets, off-base)
+		}
+		entries = append(entries, pg.entries...)
+	}
+	return fromParts(g.k, offsets, entries)
+}
+
 // PatchStats reports how a publication was assembled: how many pages the
 // new graph shares with its predecessor versus had to copy out of the
 // heaps — the copy-on-write observability record surfaced by /stats and
@@ -295,8 +312,9 @@ func SortNeighbors(list []Neighbor) {
 	slices.SortFunc(list, CompareNeighbors)
 }
 
-// Validate checks structural invariants: no self-loops, no duplicate
-// neighbors, lists sorted and bounded by K.
+// Validate checks structural invariants: neighbor IDs name users of the
+// graph, no self-loops, no duplicate neighbors, lists sorted and bounded
+// by K.
 func (g *Graph) Validate() error {
 	n := g.NumUsers()
 	for u := 0; u < n; u++ {
@@ -312,6 +330,9 @@ func (g *Graph) Validate() error {
 			seen = make(map[uint32]bool, len(list))
 		}
 		for i, nb := range list {
+			if int(nb.ID) >= n {
+				return fmt.Errorf("knngraph: user %d lists %d, beyond the %d users", u, nb.ID, n)
+			}
 			if int(nb.ID) == u {
 				return fmt.Errorf("knngraph: user %d has a self-loop", u)
 			}

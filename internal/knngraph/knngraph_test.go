@@ -10,13 +10,13 @@ import (
 )
 
 func TestFromSetSortedAndComplete(t *testing.T) {
-	s := knnheap.NewSet(2, 3)
+	s := knnheap.NewSet(4, 3)
 	s.Update(0, 1, 0.5)
 	s.Update(0, 2, 0.9)
 	s.Update(0, 3, 0.7)
 	s.Update(1, 0, 0.4)
 	g := FromSet(s)
-	if g.K() != 3 || g.NumUsers() != 2 {
+	if g.K() != 3 || g.NumUsers() != 4 {
 		t.Fatalf("graph shape: k=%d users=%d", g.K(), g.NumUsers())
 	}
 	l0 := g.Neighbors(0)
@@ -29,12 +29,16 @@ func TestFromSetSortedAndComplete(t *testing.T) {
 }
 
 func TestValidateCatchesProblems(t *testing.T) {
+	// Three-user graphs, so IDs 1 and 2 are in range and each case trips
+	// only the invariant it names.
+	rows := func(first ...Neighbor) [][]Neighbor { return [][]Neighbor{first, nil, nil} }
 	bad := []*Graph{
-		New(1, [][]Neighbor{{{ID: 0, Sim: 1}}}),                      // self loop
-		New(2, [][]Neighbor{{{ID: 1, Sim: 1}, {ID: 1, Sim: 1}}}),     // dup
-		New(1, [][]Neighbor{{{ID: 1, Sim: 1}, {ID: 2, Sim: 0}}}),     // > k
-		New(2, [][]Neighbor{{{ID: 1, Sim: 0.1}, {ID: 2, Sim: 0.9}}}), // unsorted
-		New(2, [][]Neighbor{{{ID: 2, Sim: 0.5}, {ID: 1, Sim: 0.5}}}), // tie order
+		New(1, rows(Neighbor{ID: 0, Sim: 1})),                              // self loop
+		New(2, rows(Neighbor{ID: 1, Sim: 1}, Neighbor{ID: 1, Sim: 1})),     // dup
+		New(1, rows(Neighbor{ID: 1, Sim: 1}, Neighbor{ID: 2, Sim: 0})),     // > k
+		New(2, rows(Neighbor{ID: 1, Sim: 0.1}, Neighbor{ID: 2, Sim: 0.9})), // unsorted
+		New(2, rows(Neighbor{ID: 2, Sim: 0.5}, Neighbor{ID: 1, Sim: 0.5})), // tie order
+		New(2, rows(Neighbor{ID: 3, Sim: 0.5})),                            // out of range
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
@@ -156,7 +160,8 @@ func TestRecallEmptyExact(t *testing.T) {
 
 func TestFromSetConcurrentSafe(t *testing.T) {
 	// FromSet must be callable while updates continue (trace snapshots).
-	s := knnheap.NewSet(100, 5)
+	// Users 0..99 take neighbors 100..196, all in range, none a self-loop.
+	s := knnheap.NewSet(200, 5)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

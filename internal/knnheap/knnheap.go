@@ -10,11 +10,16 @@
 // parallel runs produce identical graphs.
 //
 // Beyond the batch-construction operations, the set supports the
-// append-only population growth (Grow) and targeted entry removal
-// (Remove, Clear) that incremental graph maintenance needs.
+// append-only population growth (Grow), targeted entry removal (Remove,
+// Clear), bulk seeding from a sorted graph row (Seed) and the reverse
+// in-edge lookup (Holders) that incremental graph maintenance needs.
 package knnheap
 
-import "sync"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Entry is one neighbor candidate held in a heap. New is the NN-Descent
 // incremental-join flag (true until the entry has participated in a local
@@ -49,12 +54,20 @@ type Heap struct {
 // A Set optionally tracks which users' heaps changed (TrackDirty): the
 // copy-on-write snapshot publication path drains that dirty set at export
 // time to clone only the graph pages containing changed users. Tracking
-// is opt-in because the parallel cold build mutates heaps from many
-// goroutines; the maintenance layer enables it once construction is done
-// and it holds the single-writer contract from then on.
+// also maintains the holder index (Holders): for every user v, the users
+// whose heaps currently hold v — what lets maintenance evict the stale
+// references to a rebuilt user in O(in-degree) instead of scanning every
+// heap. Tracking is opt-in because the parallel cold build mutates heaps
+// from many goroutines; the maintenance layer enables it once
+// construction is done and it holds the single-writer contract from then
+// on.
 type Set struct {
 	k     int
 	heaps []Heap
+
+	// holders[v] lists, in no particular order, the users whose heaps
+	// hold v; nil until TrackDirty. Writer-side only, like the dirty set.
+	holders [][]uint32
 
 	// Dirty tracking (TrackDirty/DrainDirty). stamp[u] == epoch means u
 	// is already recorded in dirty for the current drain interval, so a
@@ -69,15 +82,83 @@ type Set struct {
 
 // TrackDirty starts recording which users' heaps change. Call it right
 // after the state being tracked against was exported in full (the first
-// snapshot publication): from then on, every Update/Remove/Clear that
-// changes a heap — and every user added by Grow — lands in the dirty set
-// until DrainDirty collects it. Tracking requires the single-writer
-// contract: no concurrent mutations after TrackDirty.
+// snapshot publication): from then on, every Update/Remove/Clear/Seed
+// that changes a heap — and every user added by Grow — lands in the
+// dirty set until DrainDirty collects it. Tracking requires the
+// single-writer contract: no concurrent mutations after TrackDirty.
+//
+// TrackDirty also builds the holder index in one counted pass over every
+// heap (O(|U|·k)), which every later mutation keeps current. Every held
+// ID must be a user of the set (< Len).
 func (s *Set) TrackDirty() {
 	s.track = true
 	s.epoch = 1
 	s.stamp = make([]uint32, len(s.heaps))
 	s.dirty = s.dirty[:0]
+	s.buildHolders()
+}
+
+// buildHolders lays the holder index out as a counted CSR fill: one
+// backing array sized to the edge count, each row a capacity-clamped
+// slice of it, so a row that later outgrows its in-degree reallocates on
+// its own instead of overrunning its neighbor.
+func (s *Set) buildHolders() {
+	n := len(s.heaps)
+	off := make([]int, n+1)
+	for u := range s.heaps {
+		for _, e := range s.heaps[u].entries {
+			off[e.ID+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	backing := make([]uint32, off[n])
+	next := slices.Clone(off[:n])
+	for u := range s.heaps {
+		for _, e := range s.heaps[u].entries {
+			backing[next[e.ID]] = uint32(u)
+			next[e.ID]++
+		}
+	}
+	s.holders = make([][]uint32, n)
+	for v := range s.holders {
+		s.holders[v] = backing[off[v]:off[v+1]:off[v+1]]
+	}
+}
+
+// Holders appends the users whose heaps currently hold v to dst, in no
+// particular order, and returns the extended slice. It requires
+// TrackDirty (the index does not exist before it) and, like the rest of
+// the tracking state, is writer-side only.
+func (s *Set) Holders(dst []uint32, v uint32) []uint32 {
+	if s.holders == nil {
+		panic("knnheap: Holders requires TrackDirty")
+	}
+	return append(dst, s.holders[v]...)
+}
+
+// hold records that u's heap now holds v. Writer-side only.
+func (s *Set) hold(u, v uint32) {
+	if s.track {
+		s.holders[v] = append(s.holders[v], u)
+	}
+}
+
+// release records that u's heap no longer holds v: a swap-remove, since
+// row order carries no meaning. Callers check s.track first, keeping the
+// untracked cold-build path free of the call. Writer-side only.
+func (s *Set) release(u, v uint32) {
+	row := s.holders[v]
+	for i, h := range row {
+		if h == u {
+			last := len(row) - 1
+			row[i] = row[last]
+			s.holders[v] = row[:last]
+			return
+		}
+	}
+	panic(fmt.Sprintf("knnheap: holder index lost edge %d -> %d", u, v))
 }
 
 // DrainDirty appends the users whose heaps changed since the previous
@@ -137,6 +218,7 @@ func (s *Set) Grow(extra int) {
 	}
 	if s.track {
 		s.stamp = append(s.stamp, make([]uint32, extra)...)
+		s.holders = append(s.holders, make([][]uint32, extra)...)
 		for i := 0; i < extra; i++ {
 			// A new user has no previously published page; its page must
 			// be (re)built at the next publication.
@@ -179,16 +261,49 @@ func (s *Set) update(u uint32, e Entry) int {
 	if len(h.entries) < s.k {
 		h.entries = append(h.entries, e)
 		h.siftUp(len(h.entries) - 1)
+		s.hold(u, e.ID)
 		s.markDirty(u)
 		return 1
 	}
 	if !worse(e, h.entries[0]) {
+		if s.track {
+			s.release(u, h.entries[0].ID)
+		}
 		h.entries[0] = e
 		h.siftDown(0)
+		s.hold(u, e.ID)
 		s.markDirty(u)
 		return 1
 	}
 	return 0
+}
+
+// Seed replaces u's heap with row, a neighbor list in canonical graph
+// order (best first: similarity desc, ID asc) — the bulk warm start from
+// a loaded graph. Reversed, such a row is already a valid min-heap, so
+// Seed copies it in without per-entry duplicate scans or sifts. The
+// caller guarantees the row is strictly sorted with unique IDs; Seed
+// panics if it is longer than k.
+func (s *Set) Seed(u uint32, row []Entry) {
+	if len(row) > s.k {
+		panic(fmt.Sprintf("knnheap: Seed: %d entries exceed k = %d", len(row), s.k))
+	}
+	h := &s.heaps[u]
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.entries) > 0 || len(row) > 0 {
+		s.markDirty(u)
+	}
+	if s.track {
+		for _, e := range h.entries {
+			s.release(u, e.ID)
+		}
+	}
+	h.entries = h.entries[:len(row)]
+	for i, e := range row {
+		h.entries[len(row)-1-i] = e
+		s.hold(u, e.ID)
+	}
 }
 
 // Remove deletes id from u's heap, reporting whether it was present.
@@ -201,6 +316,9 @@ func (s *Set) Remove(u uint32, id uint32) bool {
 	for i := range h.entries {
 		if h.entries[i].ID != id {
 			continue
+		}
+		if s.track {
+			s.release(u, id)
 		}
 		last := len(h.entries) - 1
 		h.entries[i] = h.entries[last]
@@ -224,6 +342,11 @@ func (s *Set) Clear(u uint32) {
 	defer h.mu.Unlock()
 	if len(h.entries) > 0 {
 		s.markDirty(u)
+	}
+	if s.track {
+		for _, e := range h.entries {
+			s.release(u, e.ID)
+		}
 	}
 	h.entries = h.entries[:0]
 }

@@ -469,9 +469,9 @@ func (p *Pool) AddRating(g uint32, item uint32, rating float64) error {
 
 // Rebuild refreshes the neighborhoods invalidated since the last
 // Rebuild. dirty lists global user IDs (nil = every user any shard has
-// marked dirty). The per-shard rebuilds run in parallel — rebuild
-// latency scales down with the shard count both from the parallelism and
-// from each shard's O(|U|/N · k) eviction scan.
+// marked dirty). The per-shard rebuilds run in parallel, and each costs
+// what an unsharded one does for the same users: their candidates plus
+// their in-degree (see kiff.Maintainer.Rebuild).
 func (p *Pool) Rebuild(dirty []uint32) error {
 	m := p.mapping.Load()
 	var perShard map[int][]uint32

@@ -3,7 +3,7 @@ package kiff
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -65,6 +65,7 @@ type Maintainer struct {
 	run     runstats.Run
 	dirty   map[uint32]struct{}
 	scratch []uint32
+	holders []uint32
 	scores  []float64
 
 	inserts      int64
@@ -141,23 +142,28 @@ func NewMaintainer(d *Dataset, opts Options) (*Maintainer, error) {
 		},
 	}
 	m.bindMetric()
-	m.publish()
+	m.publishFirst(res.Graph)
 	return m, nil
 }
 
 // NewMaintainerFromGraph wraps an already-built graph — typically one
 // loaded from a checkpoint with LoadGraph or LoadGraphMapped — in a
 // Maintainer without re-running construction: the cold start of a serving
-// process that must also accept writes. The neighborhood heaps are seeded
-// from the graph's edge lists in O(|U|·k); candidate sets are recomputed
-// lazily, per user, as mutations touch them.
+// process that must also accept writes. The warm start is a bulk load in
+// a few sequential O(|U|·k) passes: each heap is seeded directly from its
+// graph row (a sorted row, reversed, is already a valid heap), the first
+// Snapshot serves a heap-memory copy of the graph, and the holder index
+// Rebuild evicts through is built in one counted pass. Candidate sets
+// are recomputed lazily, per user, as mutations touch them.
 //
 // The graph must cover exactly the dataset's users and match Options.K
-// (K = 0 adopts the graph's k). The dataset is retained and mutated like
-// in NewMaintainer; the graph itself is only read during seeding, so a
-// mapped graph may be closed once NewMaintainerFromGraph returns. The
-// first published Snapshot serves an exported copy of the seeded heaps,
-// which is edge-for-edge identical to the input graph.
+// (K = 0 adopts the graph's k), and every row must be what Graph.Validate
+// accepts — at most k neighbors, strictly sorted, unique, in range, no
+// self-loop; a row that is not is an error, never repaired. The dataset
+// is retained and mutated like in NewMaintainer; the graph itself is
+// only read during construction, so a mapped graph may be closed once
+// NewMaintainerFromGraph returns. The first published Snapshot is
+// edge-for-edge identical to the input graph.
 func NewMaintainerFromGraph(d *Dataset, g *Graph, opts Options) (*Maintainer, error) {
 	if opts.Algorithm != "" && opts.Algorithm != KIFF {
 		return nil, fmt.Errorf("kiff: Maintainer requires the kiff algorithm, got %q", opts.Algorithm)
@@ -196,11 +202,9 @@ func NewMaintainerFromGraph(d *Dataset, g *Graph, opts Options) (*Maintainer, er
 	}
 	d.EnsureItemProfiles()
 	n := d.NumUsers()
-	heaps := knnheap.NewSet(n, eo.K)
-	for u := 0; u < n; u++ {
-		for _, nb := range g.Neighbors(uint32(u)) {
-			heaps.Update(uint32(u), nb.ID, nb.Sim)
-		}
+	heaps, err := seedHeaps(g, eo.K)
+	if err != nil {
+		return nil, err
 	}
 	m := &Maintainer{
 		d:     d,
@@ -215,34 +219,74 @@ func NewMaintainerFromGraph(d *Dataset, g *Graph, opts Options) (*Maintainer, er
 		},
 	}
 	m.bindMetric()
-	m.publish()
+	m.publishFirst(g.Clone())
 	return m, nil
+}
+
+// seedHeaps bulk-loads a heap set from g's rows, checking on the way the
+// row invariants the bulk seed relies on: at most k entries, strictly
+// sorted, unique, in range, no self-loop.
+func seedHeaps(g *Graph, k int) (*knnheap.Set, error) {
+	n := g.NumUsers()
+	heaps := knnheap.NewSet(n, k)
+	// seen[v] == u+1 marks v as already listed in row u.
+	seen := make([]uint32, n)
+	row := make([]knnheap.Entry, 0, k)
+	for u := 0; u < n; u++ {
+		list := g.Neighbors(uint32(u))
+		if len(list) > k {
+			return nil, fmt.Errorf("kiff: graph user %d has %d neighbors, k = %d", u, len(list), k)
+		}
+		row = row[:0]
+		for i, nb := range list {
+			switch {
+			case int(nb.ID) >= n:
+				return nil, fmt.Errorf("kiff: graph user %d lists %d, beyond the %d users", u, nb.ID, n)
+			case int(nb.ID) == u:
+				return nil, fmt.Errorf("kiff: graph user %d has a self-loop", u)
+			case seen[nb.ID] == uint32(u)+1:
+				return nil, fmt.Errorf("kiff: graph user %d lists %d twice", u, nb.ID)
+			case i > 0 && knngraph.CompareNeighbors(list[i-1], nb) >= 0:
+				return nil, fmt.Errorf("kiff: graph user %d list unsorted at %d", u, i)
+			}
+			seen[nb.ID] = uint32(u) + 1
+			row = append(row, knnheap.Entry{ID: nb.ID, Sim: nb.Sim, New: true})
+		}
+		heaps.Seed(uint32(u), row)
+	}
+	return heaps, nil
+}
+
+// publishFirst publishes first, a heap-memory graph whose rows are the
+// heaps' sorted contents, as the first Snapshot, and arms the heap set's
+// dirty tracking and holder index.
+func (m *Maintainer) publishFirst(first *knngraph.Graph) {
+	start := time.Now()
+	m.heaps.TrackDirty()
+	m.store(start, first, knngraph.PatchStats{PagesCopied: first.NumPages(), EntriesCopied: first.NumEdges()})
 }
 
 // publish freezes the current graph and dataset into a new Snapshot and
 // swaps it in atomically. Writer-only.
 //
-// The first publication exports the full graph (FromSet) and arms the
-// heap set's dirty tracking; every later publication drains the dirty
-// user set and patches the previous snapshot's graph page-by-page
+// Every publication after the first drains the dirty user set and
+// patches the previous snapshot's graph page-by-page
 // (knngraph.PatchFrom), while the dataset view likewise shares clean
 // header pages with its predecessor — O(dirty pages) instead of
 // O(|U|·k + |I|). Patching always starts from the previously published
-// (heap-built) graph, never from a mapped one, so published pages never
+// heap-memory graph, never from a mapped one, so published pages never
 // alias file-backed memory.
 func (m *Maintainer) publish() {
 	start := time.Now()
+	m.scratch = m.heaps.DrainDirty(m.scratch[:0])
+	g, st := knngraph.PatchFrom(m.snap.Load().graph, m.heaps, m.scratch)
+	m.store(start, g, st)
+}
+
+// store swaps in the Snapshot of g and the current dataset view and
+// books the publication's cost from start.
+func (m *Maintainer) store(start time.Time, g *knngraph.Graph, st knngraph.PatchStats) {
 	m.version++
-	var g *knngraph.Graph
-	var st knngraph.PatchStats
-	if prev := m.snap.Load(); prev != nil {
-		m.scratch = m.heaps.DrainDirty(m.scratch[:0])
-		g, st = knngraph.PatchFrom(prev.graph, m.heaps, m.scratch)
-	} else {
-		g = knngraph.FromSet(m.heaps)
-		st = knngraph.PatchStats{PagesCopied: g.NumPages(), EntriesCopied: g.NumEdges()}
-		m.heaps.TrackDirty()
-	}
 	view := m.d.View()
 	vc, vs := m.d.LastViewStats()
 	m.snap.Store(newSnapshot(m.version, g, view, m.opts.Metric))
@@ -440,7 +484,7 @@ func (m *Maintainer) Dirty() []uint32 {
 	for u := range m.dirty {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -448,9 +492,12 @@ func (m *Maintainer) Dirty() []uint32 {
 // user currently marked dirty): their candidate sets are recomputed
 // against the updated profiles, their own neighborhoods are rebuilt from
 // scratch, and stale references to them are evicted from every other
-// user's heap before the fresh similarities are offered back. The
-// eviction pass scans all heaps (O(|U|·k) ID comparisons); the similarity
-// work is bounded by the rebuilt users' candidate sets.
+// user's heap before the fresh similarities are offered back. Eviction
+// visits only the heaps that hold a rebuilt user, found through the heap
+// set's holder index, so its cost is O(Σ in-degree of the rebuilt users
+// · k) rather than a scan of all |U| heaps; the similarity work is
+// bounded by the rebuilt users' candidate sets. Neither walks the whole
+// population.
 func (m *Maintainer) Rebuild(dirty []uint32) error {
 	if err := m.walGuard(); err != nil {
 		return err
@@ -492,7 +539,7 @@ func (m *Maintainer) Rebuild(dirty []uint32) error {
 	for u := range targets {
 		order = append(order, u)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	for _, u := range order {
 		m.sets.PatchUser(m.d, u, m.rcsOpts())
 		m.heaps.Clear(u)
@@ -500,15 +547,18 @@ func (m *Maintainer) Rebuild(dirty []uint32) error {
 	// Evict stale entries: any surviving heap reference to a rebuilt user
 	// carries a pre-mutation similarity. Fresh values are re-offered by
 	// refineUser below (a rebuilt user's candidate list contains every
-	// user it still overlaps).
-	for v := 0; v < n; v++ {
-		if _, rebuilt := targets[uint32(v)]; rebuilt {
-			continue
-		}
-		m.scratch = m.heaps.IDs(m.scratch[:0], uint32(v))
+	// user it still overlaps). Sorting dedups the holders' union, so a
+	// heap holding several rebuilt users is visited once.
+	m.holders = m.holders[:0]
+	for _, u := range order {
+		m.holders = m.heaps.Holders(m.holders, u)
+	}
+	slices.Sort(m.holders)
+	for _, v := range slices.Compact(m.holders) {
+		m.scratch = m.heaps.IDs(m.scratch[:0], v)
 		for _, id := range m.scratch {
 			if _, rebuilt := targets[id]; rebuilt {
-				m.heaps.Remove(uint32(v), id)
+				m.heaps.Remove(v, id)
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"kiff/internal/knngraph"
 )
 
 // saveFixture builds a small graph+dataset pair and saves both, returning
@@ -187,6 +189,105 @@ func TestNewMaintainerFromGraph(t *testing.T) {
 	}
 	if _, err := NewMaintainerFromGraph(small, g, Options{}); err == nil {
 		t.Fatal("user-count mismatch accepted")
+	}
+}
+
+// TestWarmStartBulkSeed pins the bulk warm start: over a mapped graph
+// with short and empty rows, the first snapshot equals the input edge
+// for edge and stays readable after the mapping is closed, the seeded
+// heaps hold exactly the input rows, and the maintainer keeps working.
+func TestWarmStartBulkSeed(t *testing.T) {
+	const k = 6
+	d := synthWALDataset(t, 21, 50, 120)
+	// Users on items nobody else rates have no neighbors at all.
+	for i := 0; i < 3; i++ {
+		if _, err := d.AddUser(ProfileFromMap(map[uint32]float64{uint32(200 + i): 1}, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := Build(d, Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := res.Graph
+	short, empty := 0, 0
+	for u := 0; u < g.NumUsers(); u++ {
+		switch n := len(g.Neighbors(uint32(u))); {
+		case n == 0:
+			empty++
+		case n < k:
+			short++
+		}
+	}
+	if short == 0 || empty == 0 {
+		t.Fatalf("fixture has %d short and %d empty rows; want both", short, empty)
+	}
+	dir := t.TempDir()
+	gpath, dpath := filepath.Join(dir, "graph.kfg"), filepath.Join(dir, "data.kfd")
+	if err := SaveGraph(gpath, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveDataset(dpath, d); err != nil {
+		t.Fatal(err)
+	}
+	mg, err := LoadGraphMapped(gpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := LoadDatasetMapped(dpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer md.Close()
+	if _, err := NewMaintainerFromGraph(md.Dataset(), mg.Graph(), Options{K: k + 1}); err == nil {
+		t.Fatal("k mismatch accepted")
+	}
+	m, err := NewMaintainerFromGraph(md.Dataset(), mg.Graph(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := m.Snapshot()
+	requireSameGraph(t, g, first.Graph())
+	requireSameGraph(t, g, m.Graph()) // the seeded heaps themselves
+
+	// Mutations patch from the heap copy; the pinned first snapshot
+	// stays intact, and the new one agrees with the heaps.
+	if err := m.AddRating(0, 7, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Rebuild(nil); err != nil {
+		t.Fatal(err)
+	}
+	requireSameGraph(t, g, first.Graph())
+	requireSameGraph(t, m.Graph(), m.Snapshot().Graph())
+}
+
+// TestWarmStartRejectsInvalidRows: NewMaintainerFromGraph refuses a graph
+// whose rows break the invariants the bulk seed relies on, instead of
+// repairing them.
+func TestWarmStartRejectsInvalidRows(t *testing.T) {
+	d := synthWALDataset(t, 4, 3, 10)
+	nb := func(id uint32, sim float64) Neighbor { return Neighbor{ID: id, Sim: sim} }
+	cases := map[string][]Neighbor{
+		"out of range": {nb(3, 0.5)},
+		"self-loop":    {nb(0, 0.5)},
+		"duplicate":    {nb(1, 0.5), nb(1, 0.4)},
+		"unsorted":     {nb(1, 0.4), nb(2, 0.5)},
+		"tie order":    {nb(2, 0.5), nb(1, 0.5)},
+		"over k":       {nb(1, 0.5), nb(2, 0.4)},
+	}
+	for name, row := range cases {
+		k := 2
+		if name == "over k" {
+			k = 1
+		}
+		g := knngraph.New(k, [][]Neighbor{row, {nb(0, 0.5)}, nil})
+		if _, err := NewMaintainerFromGraph(d, g, Options{}); err == nil {
+			t.Errorf("%s: row %v accepted", name, row)
+		}
 	}
 }
 

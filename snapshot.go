@@ -106,7 +106,8 @@ func NewSnapshot(g *Graph, d *Dataset, opts Options) (*Snapshot, error) {
 // (knngraph.PatchFrom), the view shares clean header pages with the
 // previous view, and the query index is an O(1) wrapper over the view —
 // so the cost is O(dirty pages), not O(|U|·k + |I|). The first
-// publication (no predecessor) is a full export.
+// publication (no predecessor) serves the graph construction produced: a
+// cold build's export, or a heap copy of a loaded checkpoint.
 func newSnapshot(version uint64, g *knngraph.Graph, view *dataset.View, metric similarity.Metric) *Snapshot {
 	return &Snapshot{
 		version: version,
