@@ -572,6 +572,37 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 	}
 }
 
+// BenchmarkRebuildHub measures a write to the user held by the most
+// neighbor lists — the worst case for Rebuild's eviction, which visits
+// every heap holding the rebuilt user. Each op re-rates one of the hub's
+// items and rebuilds it; the hub's in-degree is reported alongside.
+func BenchmarkRebuildHub(b *testing.B) {
+	d, err := GeneratePreset("arxiv", 1, 1)
+	benchErr(b, err)
+	m, err := NewMaintainer(d, Options{K: 20})
+	benchErr(b, err)
+	g := m.Graph()
+	in := make([]int, g.NumUsers())
+	for u := 0; u < g.NumUsers(); u++ {
+		for _, nb := range g.Neighbors(uint32(u)) {
+			in[nb.ID]++
+		}
+	}
+	hub := uint32(0)
+	for u := range in {
+		if in[u] > in[hub] {
+			hub = uint32(u)
+		}
+	}
+	item := m.Dataset().Users[hub].IDs[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchErr(b, m.AddRating(hub, item, float64(1+i%2)))
+		benchErr(b, m.Rebuild([]uint32{hub}))
+	}
+	b.ReportMetric(float64(in[hub]), "in-degree")
+}
+
 // BenchmarkSnapshotQuery measures the reader-side serving path: a
 // budgeted profile query against a published snapshot.
 func BenchmarkSnapshotQuery(b *testing.B) {

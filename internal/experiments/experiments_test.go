@@ -499,10 +499,8 @@ func TestHyRecRSweepTradeoff(t *testing.T) {
 	// The tiny 1% wikipedia (~120 users) is too small for r to matter:
 	// neighbors-of-neighbors already cover almost every user, so the
 	// random picks land on already-marked candidates. Use 5% (~300 users),
-	// where the sweep showed a clear volume increase. One worker: parallel
-	// HyRec refines heaps other workers are reading, so its per-iteration
-	// counts vary run to run, enough to flip this comparison at random.
-	h := New(Options{Scale: 0.05, Seed: 42, RecallSample: 0, KCap: 12, Workers: 1})
+	// where the sweep showed a clear volume increase.
+	h := New(Options{Scale: 0.05, Seed: 42, RecallSample: 0, KCap: 12})
 	res, err := h.HyRecRSweep()
 	if err != nil {
 		t.Fatal(err)

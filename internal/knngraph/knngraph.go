@@ -314,46 +314,29 @@ func SortNeighbors(list []Neighbor) {
 
 // Validate checks structural invariants: neighbor IDs name users of the
 // graph, no self-loops, no duplicate neighbors, lists sorted and bounded
-// by K.
+// by K. It runs in one O(|U|·k) pass: duplicates are found through a
+// per-user stamp array rather than by comparing entries pairwise.
 func (g *Graph) Validate() error {
 	n := g.NumUsers()
+	// seen[v] == u+1 marks v as already listed in row u.
+	seen := make([]uint32, n)
 	for u := 0; u < n; u++ {
 		list := g.Neighbors(uint32(u))
 		if len(list) > g.k {
 			return fmt.Errorf("knngraph: user %d has %d > k neighbors", u, len(list))
 		}
-		// Duplicate detection: allocation-free quadratic scan for the
-		// typical small k, map-based beyond it — k comes from untrusted
-		// codec input, so the quadratic path must not be unbounded.
-		var seen map[uint32]bool
-		if len(list) > 64 {
-			seen = make(map[uint32]bool, len(list))
-		}
 		for i, nb := range list {
-			if int(nb.ID) >= n {
+			switch {
+			case int(nb.ID) >= n:
 				return fmt.Errorf("knngraph: user %d lists %d, beyond the %d users", u, nb.ID, n)
-			}
-			if int(nb.ID) == u {
+			case int(nb.ID) == u:
 				return fmt.Errorf("knngraph: user %d has a self-loop", u)
+			case seen[nb.ID] == uint32(u)+1:
+				return fmt.Errorf("knngraph: user %d lists %d twice", u, nb.ID)
+			case i > 0 && (list[i-1].Sim < nb.Sim || (list[i-1].Sim == nb.Sim && list[i-1].ID > nb.ID)):
+				return fmt.Errorf("knngraph: user %d list unsorted at %d", u, i)
 			}
-			if seen != nil {
-				if seen[nb.ID] {
-					return fmt.Errorf("knngraph: user %d lists %d twice", u, nb.ID)
-				}
-				seen[nb.ID] = true
-			} else {
-				for j := 0; j < i; j++ {
-					if list[j].ID == nb.ID {
-						return fmt.Errorf("knngraph: user %d lists %d twice", u, nb.ID)
-					}
-				}
-			}
-			if i > 0 {
-				prev := list[i-1]
-				if prev.Sim < nb.Sim || (prev.Sim == nb.Sim && prev.ID > nb.ID) {
-					return fmt.Errorf("knngraph: user %d list unsorted at %d", u, i)
-				}
-			}
+			seen[nb.ID] = uint32(u) + 1
 		}
 	}
 	return nil

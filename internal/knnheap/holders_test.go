@@ -1,6 +1,7 @@
 package knnheap
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -50,20 +51,51 @@ func randomRow(r *rand.Rand, s *Set, u uint32) []Entry {
 	return row
 }
 
+// requireSameHeaps asserts that two sets hold the same heaps, entry for
+// entry in the same layout.
+func requireSameHeaps(t *testing.T, got, want *Set, step int, op string) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("step %d (%s): %d heaps, want %d", step, op, got.Len(), want.Len())
+	}
+	for u := range got.heaps {
+		if !slices.Equal(got.heaps[u].entries, want.heaps[u].entries) {
+			t.Fatalf("step %d (%s): heap %d = %v, want %v", step, op, u, got.heaps[u].entries, want.heaps[u].entries)
+		}
+	}
+}
+
+// scanEvict is the reference for Evict: a scan over every heap, removing
+// the targets each holds in that heap's order.
+func scanEvict(s *Set, targets []uint32) {
+	for u := range s.heaps {
+		for _, id := range s.IDs(nil, uint32(u)) {
+			if slices.Contains(targets, id) {
+				s.Remove(uint32(u), id)
+			}
+		}
+	}
+}
+
 // TestHolderIndexProperty runs seeded random mutation streams with
 // tracking on and checks the holder index against the brute-force
-// in-edge multiset after every operation. Small ID ranges and coarse
-// similarities force duplicates, ties and root replacements.
+// in-edge multiset after every operation. An untracked twin receives the
+// same operations, Evict replaced by a scan of every heap, and must hold
+// the same heaps in the same layout throughout. Small ID ranges and
+// coarse similarities force duplicates, ties and root replacements.
 func TestHolderIndexProperty(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		s := NewSet(2+r.Intn(12), 1+r.Intn(4))
+		n, k := 2+r.Intn(12), 1+r.Intn(4)
+		s, ref := NewSet(n, k), NewSet(n, k)
 		// Some state before tracking starts, so the counted build pass
 		// is exercised on non-empty heaps.
 		for i := 0; i < r.Intn(30); i++ {
 			u, v := uint32(r.Intn(s.Len())), uint32(r.Intn(s.Len()))
 			if u != v {
-				s.Update(u, v, float64(r.Intn(5))/4)
+				sim := float64(r.Intn(5)) / 4
+				s.Update(u, v, sim)
+				ref.Update(u, v, sim)
 			}
 		}
 		if s.holders != nil {
@@ -75,34 +107,78 @@ func TestHolderIndexProperty(t *testing.T) {
 			u := uint32(r.Intn(s.Len()))
 			var op string
 			switch p := r.Intn(100); {
-			case p < 55:
+			case p < 50:
 				op = "Update"
 				if v := uint32(r.Intn(s.Len())); v != u {
-					s.Update(u, v, float64(r.Intn(5))/4)
+					sim := float64(r.Intn(5)) / 4
+					s.Update(u, v, sim)
+					ref.Update(u, v, sim)
 				}
-			case p < 75:
+			case p < 65:
 				op = "Remove"
-				ids := s.IDs(nil, u)
-				if len(ids) > 0 && r.Intn(4) > 0 {
-					s.Remove(u, ids[r.Intn(len(ids))])
-				} else {
-					s.Remove(u, uint32(r.Intn(s.Len())))
+				id := uint32(r.Intn(s.Len()))
+				if ids := s.IDs(nil, u); len(ids) > 0 && r.Intn(4) > 0 {
+					id = ids[r.Intn(len(ids))]
 				}
-			case p < 82:
+				s.Remove(u, id)
+				ref.Remove(u, id)
+			case p < 72:
 				op = "Clear"
 				s.Clear(u)
-			case p < 90:
+				ref.Clear(u)
+			case p < 79:
 				op = "Seed"
-				s.Seed(u, randomRow(r, s, u))
+				row := randomRow(r, s, u)
+				s.Seed(u, row)
+				ref.Seed(u, row)
+			case p < 90:
+				op = "Evict"
+				var targets []uint32
+				for i := 0; i < 1+r.Intn(3); i++ {
+					targets = append(targets, uint32(r.Intn(s.Len())))
+				}
+				slices.Sort(targets)
+				targets = slices.Compact(targets)
+				s.Evict(targets)
+				scanEvict(ref, targets)
 			case p < 95:
 				op = "Grow"
-				s.Grow(r.Intn(3))
+				extra := r.Intn(3)
+				s.Grow(extra)
+				ref.Grow(extra)
 			default:
 				op = "DrainDirty"
 				s.DrainDirty(nil)
 			}
 			requireHolders(t, s, step, op)
+			requireSameHeaps(t, s, ref, step, op)
 		}
+	}
+}
+
+// TestEvictHub evicts a hub held by every other heap of a star: every
+// reference goes, the hub's index row empties, the other rows stay
+// exact, and each holder is marked dirty.
+func TestEvictHub(t *testing.T) {
+	const n, k = 2000, 3
+	s := NewSet(n, k)
+	for u := uint32(1); u < n; u++ {
+		s.Update(u, 0, 0.5)
+		s.Update(u, 1+u%(n-1), float64(u%7)/8) // a second, non-hub neighbor
+	}
+	s.TrackDirty()
+	s.Evict([]uint32{0})
+	for u := uint32(1); u < n; u++ {
+		if s.Contains(u, 0) {
+			t.Fatalf("heap %d still holds the hub", u)
+		}
+		if s.Size(u) != 1 {
+			t.Fatalf("heap %d has %d neighbors, want 1", u, s.Size(u))
+		}
+	}
+	requireHolders(t, s, 0, "Evict")
+	if dirty := s.DrainDirty(nil); len(dirty) != n-1 {
+		t.Fatalf("%d heaps marked dirty, want %d", len(dirty), n-1)
 	}
 }
 
@@ -128,10 +204,10 @@ func TestHolderIndexAbsentWithoutTracking(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Holders without TrackDirty did not panic")
+			t.Fatal("Evict without TrackDirty did not panic")
 		}
 	}()
-	s.Holders(nil, 0)
+	s.Evict([]uint32{0})
 }
 
 // TestSeedMatchesUpdates: seeding a sorted row leaves the heap holding
@@ -158,5 +234,27 @@ func TestSeedMatchesUpdates(t *testing.T) {
 		if !slices.Equal(a, b) {
 			t.Fatalf("trial %d: seeded %v, offered %v", trial, a, b)
 		}
+	}
+}
+
+// BenchmarkEvictHub times evicting a hub held by every heap of a star.
+// Eviction is linear in the hub's in-degree, so ns per holder stays flat
+// as the star grows.
+func BenchmarkEvictHub(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
+		b.Run(fmt.Sprintf("holders=%d", n), func(b *testing.B) {
+			s := NewSet(n+1, 4)
+			s.TrackDirty()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for u := uint32(1); u <= uint32(n); u++ {
+					s.Update(u, 0, 0.5)
+				}
+				b.StartTimer()
+				s.Evict([]uint32{0})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/holder")
+		})
 	}
 }

@@ -11,8 +11,9 @@
 //
 // Beyond the batch-construction operations, the set supports the
 // append-only population growth (Grow), targeted entry removal (Remove,
-// Clear), bulk seeding from a sorted graph row (Seed) and the reverse
-// in-edge lookup (Holders) that incremental graph maintenance needs.
+// Clear), bulk seeding from a sorted graph row (Seed) and the eviction of
+// every reference to a set of users (Evict) that incremental graph
+// maintenance needs.
 package knnheap
 
 import (
@@ -54,10 +55,13 @@ type Heap struct {
 // A Set optionally tracks which users' heaps changed (TrackDirty): the
 // copy-on-write snapshot publication path drains that dirty set at export
 // time to clone only the graph pages containing changed users. Tracking
-// also maintains the holder index (Holders): for every user v, the users
-// whose heaps currently hold v — what lets maintenance evict the stale
-// references to a rebuilt user in O(in-degree) instead of scanning every
-// heap. Tracking is opt-in because the parallel cold build mutates heaps
+// also maintains the holder index: for every user v, the users whose
+// heaps currently hold v — what lets Evict drop the stale references to
+// a rebuilt user in O(in-degree · k) instead of scanning every heap.
+// Keeping it current costs every mutation that drops an entry (a root
+// replacement in Update, Remove, Clear, Seed) a scan of the dropped
+// neighbor's holder row, O(its in-degree). Tracking is opt-in because the
+// parallel cold build mutates heaps
 // from many goroutines; the maintenance layer enables it once
 // construction is done and it holds the single-writer contract from then
 // on.
@@ -66,8 +70,10 @@ type Set struct {
 	heaps []Heap
 
 	// holders[v] lists, in no particular order, the users whose heaps
-	// hold v; nil until TrackDirty. Writer-side only, like the dirty set.
+	// hold v; nil until TrackDirty. Writer-side only, like the dirty set,
+	// and so is visit, Evict's reused list of heaps to visit.
 	holders [][]uint32
+	visit   []uint32
 
 	// Dirty tracking (TrackDirty/DrainDirty). stamp[u] == epoch means u
 	// is already recorded in dirty for the current drain interval, so a
@@ -127,17 +133,6 @@ func (s *Set) buildHolders() {
 	}
 }
 
-// Holders appends the users whose heaps currently hold v to dst, in no
-// particular order, and returns the extended slice. It requires
-// TrackDirty (the index does not exist before it) and, like the rest of
-// the tracking state, is writer-side only.
-func (s *Set) Holders(dst []uint32, v uint32) []uint32 {
-	if s.holders == nil {
-		panic("knnheap: Holders requires TrackDirty")
-	}
-	return append(dst, s.holders[v]...)
-}
-
 // hold records that u's heap now holds v. Writer-side only.
 func (s *Set) hold(u, v uint32) {
 	if s.track {
@@ -145,9 +140,10 @@ func (s *Set) hold(u, v uint32) {
 	}
 }
 
-// release records that u's heap no longer holds v: a swap-remove, since
-// row order carries no meaning. Callers check s.track first, keeping the
-// untracked cold-build path free of the call. Writer-side only.
+// release records that u's heap no longer holds v: a scan of v's row,
+// O(in-degree of v), then a swap-remove, since row order carries no
+// meaning. Callers check s.track first, keeping the untracked cold-build
+// path free of the call. Writer-side only.
 func (s *Set) release(u, v uint32) {
 	row := s.holders[v]
 	for i, h := range row {
@@ -253,10 +249,8 @@ func (s *Set) update(u uint32, e Entry) int {
 	h := &s.heaps[u]
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range h.entries {
-		if h.entries[i].ID == e.ID {
-			return 0
-		}
+	if h.indexOf(e.ID) >= 0 {
+		return 0
 	}
 	if len(h.entries) < s.k {
 		h.entries = append(h.entries, e)
@@ -313,25 +307,54 @@ func (s *Set) Remove(u uint32, id uint32) bool {
 	h := &s.heaps[u]
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range h.entries {
-		if h.entries[i].ID != id {
-			continue
-		}
-		if s.track {
-			s.release(u, id)
-		}
-		last := len(h.entries) - 1
-		h.entries[i] = h.entries[last]
-		h.entries = h.entries[:last]
-		if i < last {
-			// The displaced element may need to move either way.
-			h.siftDown(i)
-			h.siftUp(i)
-		}
-		s.markDirty(u)
-		return true
+	i := h.indexOf(id)
+	if i < 0 {
+		return false
 	}
-	return false
+	if s.track {
+		s.release(u, id)
+	}
+	h.removeAt(i)
+	s.markDirty(u)
+	return true
+}
+
+// Evict removes every reference to the users in targets (sorted
+// ascending, unique) from every heap, visiting only the heaps the holder
+// index lists for them: O(Σ in-degree of the targets · k), however large
+// the set. The heaps are visited in ascending user order and each drops
+// the targets in its own heap order — exactly the removals, and the heap
+// layouts, of a scan over every heap. Each target loses all its holders,
+// so its index row is emptied in one step rather than edge by edge.
+// Requires TrackDirty; writer-side only.
+func (s *Set) Evict(targets []uint32) {
+	if s.holders == nil {
+		panic("knnheap: Evict requires TrackDirty")
+	}
+	s.visit = s.visit[:0]
+	for _, t := range targets {
+		s.visit = append(s.visit, s.holders[t]...)
+	}
+	slices.Sort(s.visit)
+	var buf [8]uint32
+	for _, v := range slices.Compact(s.visit) {
+		h := &s.heaps[v]
+		h.mu.Lock()
+		stale := buf[:0]
+		for _, e := range h.entries {
+			if _, hit := slices.BinarySearch(targets, e.ID); hit {
+				stale = append(stale, e.ID)
+			}
+		}
+		for _, id := range stale {
+			h.removeAt(h.indexOf(id))
+		}
+		h.mu.Unlock()
+		s.markDirty(v)
+	}
+	for _, t := range targets {
+		s.holders[t] = s.holders[t][:0]
+	}
 }
 
 // Clear empties u's heap (used when a user's neighborhood is rebuilt from
@@ -368,12 +391,7 @@ func (s *Set) Contains(u uint32, id uint32) bool {
 	h := &s.heaps[u]
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range h.entries {
-		if h.entries[i].ID == id {
-			return true
-		}
-	}
-	return false
+	return h.indexOf(id) >= 0
 }
 
 // Neighbors appends u's current neighbors to dst in arbitrary (heap)
@@ -439,6 +457,28 @@ func (s *Set) CollectFlagged(newIDs, oldIDs []uint32, u uint32) ([]uint32, []uin
 		}
 	}
 	return newIDs, oldIDs
+}
+
+// indexOf returns the position of id in the heap, or -1.
+func (h *Heap) indexOf(id uint32) int {
+	for i := range h.entries {
+		if h.entries[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// removeAt deletes the entry at position i, restoring the heap order.
+func (h *Heap) removeAt(i int) {
+	last := len(h.entries) - 1
+	h.entries[i] = h.entries[last]
+	h.entries = h.entries[:last]
+	if i < last {
+		// The displaced element may need to move either way.
+		h.siftDown(i)
+		h.siftUp(i)
+	}
 }
 
 func (h *Heap) siftUp(i int) {

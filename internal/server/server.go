@@ -584,17 +584,15 @@ func (s *Server) apply(batch []op) {
 			time.Sleep(d)
 		}
 	}
-	// Refresh the counters before acknowledging, so a client that reads
-	// /stats after its write was acknowledged sees the write counted.
+	for _, pr := range replies {
+		pr.ch <- pr.res
+	}
 	if s.m != nil {
 		run := s.m.Stats()
 		s.maintainStats.Store(&run)
 	}
 	counters := s.w.Counters()
 	s.maintainCounters.Store(&counters)
-	for _, pr := range replies {
-		pr.ch <- pr.res
-	}
 	s.metrics.batches.Inc()
 	s.metrics.batchSize.Observe(float64(len(batch)))
 	s.cfg.Logf("server: applied batch of %d ops (%d mutations), version %d",

@@ -65,7 +65,6 @@ type Maintainer struct {
 	run     runstats.Run
 	dirty   map[uint32]struct{}
 	scratch []uint32
-	holders []uint32
 	scores  []float64
 
 	inserts      int64
@@ -150,8 +149,9 @@ func NewMaintainer(d *Dataset, opts Options) (*Maintainer, error) {
 // loaded from a checkpoint with LoadGraph or LoadGraphMapped — in a
 // Maintainer without re-running construction: the cold start of a serving
 // process that must also accept writes. The warm start is a bulk load in
-// a few sequential O(|U|·k) passes: each heap is seeded directly from its
-// graph row (a sorted row, reversed, is already a valid heap), the first
+// a few sequential O(|U|·k) passes: the graph is checked once with
+// Graph.Validate, each heap is seeded directly from its graph row (a
+// sorted row, reversed, is already a valid heap), the first
 // Snapshot serves a heap-memory copy of the graph, and the holder index
 // Rebuild evicts through is built in one counted pass. Candidate sets
 // are recomputed lazily, per user, as mutations touch them.
@@ -202,10 +202,10 @@ func NewMaintainerFromGraph(d *Dataset, g *Graph, opts Options) (*Maintainer, er
 	}
 	d.EnsureItemProfiles()
 	n := d.NumUsers()
-	heaps, err := seedHeaps(g, eo.K)
-	if err != nil {
-		return nil, err
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("kiff: %w", err)
 	}
+	heaps := seedHeaps(g, eo.K)
 	m := &Maintainer{
 		d:     d,
 		opts:  eo,
@@ -223,38 +223,20 @@ func NewMaintainerFromGraph(d *Dataset, g *Graph, opts Options) (*Maintainer, er
 	return m, nil
 }
 
-// seedHeaps bulk-loads a heap set from g's rows, checking on the way the
-// row invariants the bulk seed relies on: at most k entries, strictly
-// sorted, unique, in range, no self-loop.
-func seedHeaps(g *Graph, k int) (*knnheap.Set, error) {
-	n := g.NumUsers()
-	heaps := knnheap.NewSet(n, k)
-	// seen[v] == u+1 marks v as already listed in row u.
-	seen := make([]uint32, n)
+// seedHeaps bulk-loads a heap set from g's rows, which must already have
+// passed g.Validate: Set.Seed relies on each row being sorted, unique
+// and in range.
+func seedHeaps(g *Graph, k int) *knnheap.Set {
+	heaps := knnheap.NewSet(g.NumUsers(), k)
 	row := make([]knnheap.Entry, 0, k)
-	for u := 0; u < n; u++ {
-		list := g.Neighbors(uint32(u))
-		if len(list) > k {
-			return nil, fmt.Errorf("kiff: graph user %d has %d neighbors, k = %d", u, len(list), k)
-		}
+	for u := 0; u < g.NumUsers(); u++ {
 		row = row[:0]
-		for i, nb := range list {
-			switch {
-			case int(nb.ID) >= n:
-				return nil, fmt.Errorf("kiff: graph user %d lists %d, beyond the %d users", u, nb.ID, n)
-			case int(nb.ID) == u:
-				return nil, fmt.Errorf("kiff: graph user %d has a self-loop", u)
-			case seen[nb.ID] == uint32(u)+1:
-				return nil, fmt.Errorf("kiff: graph user %d lists %d twice", u, nb.ID)
-			case i > 0 && knngraph.CompareNeighbors(list[i-1], nb) >= 0:
-				return nil, fmt.Errorf("kiff: graph user %d list unsorted at %d", u, i)
-			}
-			seen[nb.ID] = uint32(u) + 1
+		for _, nb := range g.Neighbors(uint32(u)) {
 			row = append(row, knnheap.Entry{ID: nb.ID, Sim: nb.Sim, New: true})
 		}
 		heaps.Seed(uint32(u), row)
 	}
-	return heaps, nil
+	return heaps
 }
 
 // publishFirst publishes first, a heap-memory graph whose rows are the
@@ -494,10 +476,12 @@ func (m *Maintainer) Dirty() []uint32 {
 // scratch, and stale references to them are evicted from every other
 // user's heap before the fresh similarities are offered back. Eviction
 // visits only the heaps that hold a rebuilt user, found through the heap
-// set's holder index, so its cost is O(Σ in-degree of the rebuilt users
-// · k) rather than a scan of all |U| heaps; the similarity work is
-// bounded by the rebuilt users' candidate sets. Neither walks the whole
-// population.
+// set's holder index (knnheap.Set.Evict), so its cost is O(Σ in-degree
+// of the rebuilt users · k) rather than a scan of all |U| heaps. The
+// similarity work is bounded by the rebuilt users' candidate sets; each
+// offer it makes that displaces a heap's worst neighbor also pays a scan
+// of that neighbor's holder row, O(its in-degree), to keep the index
+// current. None of it walks the whole population.
 func (m *Maintainer) Rebuild(dirty []uint32) error {
 	if err := m.walGuard(); err != nil {
 		return err
@@ -547,21 +531,8 @@ func (m *Maintainer) Rebuild(dirty []uint32) error {
 	// Evict stale entries: any surviving heap reference to a rebuilt user
 	// carries a pre-mutation similarity. Fresh values are re-offered by
 	// refineUser below (a rebuilt user's candidate list contains every
-	// user it still overlaps). Sorting dedups the holders' union, so a
-	// heap holding several rebuilt users is visited once.
-	m.holders = m.holders[:0]
-	for _, u := range order {
-		m.holders = m.heaps.Holders(m.holders, u)
-	}
-	slices.Sort(m.holders)
-	for _, v := range slices.Compact(m.holders) {
-		m.scratch = m.heaps.IDs(m.scratch[:0], v)
-		for _, id := range m.scratch {
-			if _, rebuilt := targets[id]; rebuilt {
-				m.heaps.Remove(v, id)
-			}
-		}
-	}
+	// user it still overlaps).
+	m.heaps.Evict(order)
 	for _, u := range order {
 		m.refineUser(u)
 		delete(m.dirty, u)
