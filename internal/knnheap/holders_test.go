@@ -86,7 +86,7 @@ func scanEvict(s *Set, targets []uint32) {
 func TestHolderIndexProperty(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		n, k := 2+r.Intn(12), 1+r.Intn(4)
+		n, k := 2+r.Intn(12), 1+r.Intn(8)
 		s, ref := NewSet(n, k), NewSet(n, k)
 		// Some state before tracking starts, so the counted build pass
 		// is exercised on non-empty heaps.
