@@ -603,20 +603,39 @@ func BenchmarkRebuildHub(b *testing.B) {
 	b.ReportMetric(float64(in[hub]), "in-degree")
 }
 
-// BenchmarkSnapshotQuery measures the reader-side serving path: a
-// budgeted profile query against a published snapshot.
+// BenchmarkSnapshotQuery measures the reader-side serving path against a
+// published snapshot: a budgeted profile query, and exact queries per
+// metric cycling over many users' profiles. A warm exact query allocates
+// only its result slice; the rest of its scratch is pooled.
 func BenchmarkSnapshotQuery(b *testing.B) {
-	d := ablationDataset(b)
-	m, err := NewMaintainer(d, Options{K: 10})
-	benchErr(b, err)
-	s := m.Snapshot()
-	profile := m.Dataset().Users[1]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Query(profile, 10, 20); err != nil {
-			b.Fatal(err)
+	b.Run("budgeted", func(b *testing.B) {
+		m, err := NewMaintainer(ablationDataset(b), Options{K: 10})
+		benchErr(b, err)
+		s := m.Snapshot()
+		profile := m.Dataset().Users[1]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Query(profile, 10, 20); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+	for _, metric := range similarity.Names() {
+		b.Run("exact/"+metric, func(b *testing.B) {
+			m, err := NewMaintainer(ablationDataset(b), Options{K: 10, Metric: metric})
+			benchErr(b, err)
+			s := m.Snapshot()
+			n := s.NumUsers()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				profile, _ := s.Profile(uint32((i * 7919) % n))
+				if _, err := s.Query(profile, 10, -1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -76,6 +76,7 @@ var benchTolerances = map[string]float64{
 	"snapshot-publish-full":        2.0,
 	"snapshot-publish-incremental": 3.0,
 	"snapshot-query":               2.0,
+	"snapshot-query-exact":         2.0,
 	"insert-single":                2.0,
 	"maintainer-insert-wal":        2.5,
 	"insert-sharded":               2.5,
@@ -127,6 +128,7 @@ var validBenchNames = []string{
 	"rebuild-single",
 	"rebuild-sharded",
 	"snapshot-query",
+	"snapshot-query-exact",
 }
 
 // benchFilter selects a subset of the named benches: nil/empty selects
@@ -625,6 +627,23 @@ func runBenchOut(path string, opts benchOptions, stderr io.Writer) error {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.Query(profile, k, 2*k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	add("snapshot-query-exact", func(b *testing.B) {
+		m, err := kiff.NewMaintainer(mustClone(d), kiff.Options{K: k})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := m.Snapshot()
+		n := len(d.Users)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Cycle over many users' profiles (7919 is prime, so the walk
+			// visits them all) rather than timing one profile's cost.
+			if _, err := s.Query(d.Users[(i*7919)%n], k, -1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
+	"sync"
 
 	"kiff/internal/dataset"
 	"kiff/internal/knngraph"
@@ -24,24 +24,24 @@ import (
 // classification workloads of §I). The same Eq. (5)/(6) argument applies:
 // with an unlimited budget the result is the exact KNN of the query.
 //
-// An Index never mutates its dataset after construction and keeps no
-// per-query state, so any number of goroutines may call Query
-// concurrently — as snapshot readers do — provided the dataset itself is
-// not mutated underneath it (hand the Index a frozen dataset.View when
-// the writer keeps going).
+// An Index never mutates its dataset after construction. Each Query
+// borrows its scratch (candidate counter, scatter accumulator, top-k
+// heap) from a process-wide pool shared by every Index, so any number of
+// goroutines may call Query concurrently — as snapshot readers do —
+// provided the dataset itself is not mutated underneath it (hand the
+// Index a frozen dataset.View when the writer keeps going).
 type Index struct {
 	d      profileSource
 	metric similarity.Metric
 }
 
-// profileSource is the read surface Query needs: user profiles and the
-// item-profile inverted index. Both *dataset.Dataset and *dataset.View
-// satisfy it, so an Index is O(1) to construct over a freshly published
-// view — nothing is copied or prepared per publication.
+// profileSource is the read surface Query needs: user profiles, the
+// item-profile inverted index and both domains. Both *dataset.Dataset
+// and *dataset.View satisfy it, so an Index is O(1) to construct over a
+// freshly published view — nothing is copied or prepared per publication.
 type profileSource interface {
-	NumItems() int
-	User(u uint32) sparse.Vector
-	Item(i uint32) []uint32
+	similarity.QuerySource
+	NumUsers() int
 }
 
 // NewIndex builds a query index over the live dataset. metric nil selects
@@ -67,119 +67,115 @@ func defaultMetric(m similarity.Metric) similarity.Metric {
 	return m
 }
 
+// queryScratch is one request's working memory. Its counter is sized by
+// the user domain and its pivot by the item domain, each growing when a
+// newer snapshot is larger; nothing in it is sized by k.
+type queryScratch struct {
+	counter rcs.Counter
+	ranked  []uint32
+	pivot   similarity.QueryPivot
+	top     topK
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
 // Query returns the k nearest users to the given profile. budget bounds
 // the number of similarity evaluations (counted from the most-overlapping
 // candidate down); budget < 0 evaluates every overlapping candidate,
 // which yields the exact KNN for metrics satisfying Eq. (5)/(6).
 //
 // The profile uses the same item ID space as the indexed dataset; IDs at
-// or beyond NumItems are ignored (they cannot overlap with anyone).
+// or beyond NumItems overlap with nobody and are never scattered, so the
+// request's scratch stays O(NumUsers + NumItems) whatever IDs it names.
+// They still count in the profile's size and norm.
 func (ix *Index) Query(profile sparse.Vector, k, budget int) ([]knngraph.Neighbor, error) {
+	sc := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(sc)
+	return ix.query(sc, profile, k, budget)
+}
+
+func (ix *Index) query(sc *queryScratch, profile sparse.Vector, k, budget int) ([]knngraph.Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("kiff: query k must be ≥ 1, got %d", k)
 	}
 	if err := profile.Validate(); err != nil {
 		return nil, fmt.Errorf("kiff: query profile: %w", err)
 	}
-	// Counting phase for one user: bin the query into the item profiles.
-	counts := make(map[uint32]int32)
+	metric, ok := ix.metric.(similarity.QueryMetric)
+	if !ok {
+		return nil, fmt.Errorf("kiff: metric %s cannot score query profiles", ix.metric.Name())
+	}
+	// Counting phase for one pivot: bin the query into the item profiles.
+	c := &sc.counter
+	c.Begin(ix.d.NumUsers())
+	numItems := ix.d.NumItems()
 	for _, it := range profile.IDs {
-		if int(it) >= ix.d.NumItems() {
-			continue
+		if int(it) >= numItems {
+			break // ascending IDs: the rest are out of range too
 		}
 		for _, v := range ix.d.Item(it) {
-			counts[v]++
+			c.Add(v)
 		}
 	}
-	cands := make([]uint32, 0, len(counts))
-	for v := range counts {
-		cands = append(cands, v)
-	}
-	slices.SortFunc(cands, func(a, b uint32) int {
-		return rcs.CompareRanked(counts[a], counts[b], a, b)
-	})
-	if budget >= 0 && len(cands) > budget {
-		cands = cands[:budget]
+	// An exact query scores every candidate and the heap's total order
+	// fixes the answer, so only a budget needs the ranking.
+	cands := c.Touched()
+	if budget >= 0 {
+		sc.ranked = c.Ranked(sc.ranked[:0], budget)
+		cands = sc.ranked
 	}
 
-	// Refinement: evaluate the retained candidates with the real metric.
-	// The query profile is not part of the prepared dataset, so the
-	// pairwise function cannot be used directly; evaluate against each
-	// candidate's profile instead.
-	sims := make([]knngraph.Neighbor, 0, len(cands))
-	for _, v := range cands {
-		s := ix.evalAgainst(profile, v)
-		sims = append(sims, knngraph.Neighbor{ID: v, Sim: s})
+	// Refinement: prepare the query once, score each candidate from its
+	// shared count (and a gather where the metric weighs shared items),
+	// keep the best k.
+	top := sc.top[:0]
+	if len(cands) > 0 {
+		sc.pivot.Begin(metric, ix.d, profile)
+		for _, v := range cands {
+			top = top.offer(k, knngraph.Neighbor{ID: v, Sim: sc.pivot.Score(v, c.Count(v))})
+		}
 	}
-	slices.SortFunc(sims, knngraph.CompareNeighbors)
-	if len(sims) > k {
-		sims = sims[:k]
-	}
-	return sims, nil
+	sc.top = top
+	out := make([]knngraph.Neighbor, len(top))
+	copy(out, top)
+	slices.SortFunc(out, knngraph.CompareNeighbors)
+	return out, nil
 }
 
-// evalAgainst computes the metric between an external profile and an
-// indexed user. The supported metrics all decompose into profile-local
-// terms, so they can be computed without registering the query profile in
-// the dataset.
-func (ix *Index) evalAgainst(profile sparse.Vector, v uint32) float64 {
-	other := ix.d.User(v)
-	switch ix.metric.(type) {
-	case similarity.Cosine:
-		nu, nv := sparse.Norm(profile), sparse.Norm(other)
-		if nu == 0 || nv == 0 {
-			return 0
-		}
-		return sparse.Dot(profile, other) / (nu * nv)
-	case similarity.Jaccard:
-		inter := sparse.CommonCount(profile, other)
-		if inter == 0 {
-			return 0
-		}
-		return float64(inter) / float64(profile.Len()+other.Len()-inter)
-	case similarity.Dice:
-		inter := sparse.CommonCount(profile, other)
-		if inter == 0 {
-			return 0
-		}
-		return 2 * float64(inter) / float64(profile.Len()+other.Len())
-	case similarity.Overlap:
-		return float64(sparse.CommonCount(profile, other))
-	default:
-		// Adamic-Adar (and any future metric) depends on dataset-global
-		// item statistics; use the item-profile-aware path.
-		return ix.evalViaTempUser(profile, v)
-	}
-}
+// topK is a bounded min-heap of neighbors under knngraph.CompareNeighbors
+// whose root is the worst one retained.
+type topK []knngraph.Neighbor
 
-// evalViaTempUser computes metrics that need dataset-global state by
-// materializing the query as a throwaway single-user dataset view.
-// Item profiles were built at NewIndex time; no mutation happens here
-// (Query must stay concurrency-safe).
-func (ix *Index) evalViaTempUser(profile sparse.Vector, v uint32) float64 {
-	// Adamic-Adar needs |IPi| of the *indexed* dataset, so reuse its item
-	// profiles for the weights.
-	var s float64
-	other := ix.d.User(v)
-	i, j := 0, 0
-	for i < len(profile.IDs) && j < len(other.IDs) {
-		a, b := profile.IDs[i], other.IDs[j]
-		switch {
-		case a == b:
-			if int(a) < ix.d.NumItems() && len(ix.d.Item(a)) >= 2 {
-				s += 1 / logFloat(len(ix.d.Item(a)))
+// offer adds nb if fewer than k neighbors are held or nb beats the worst.
+func (h topK) offer(k int, nb knngraph.Neighbor) topK {
+	if len(h) < k {
+		h = append(h, nb)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if knngraph.CompareNeighbors(h[i], h[p]) <= 0 {
+				break
 			}
-			i++
-			j++
-		case a < b:
-			i++
-		default:
-			j++
+			h[i], h[p] = h[p], h[i]
+			i = p
 		}
+		return h
 	}
-	return s
-}
-
-func logFloat(n int) float64 {
-	return math.Log(float64(n))
+	if knngraph.CompareNeighbors(nb, h[0]) >= 0 {
+		return h
+	}
+	h[0] = nb
+	for i := 0; ; {
+		worst, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && knngraph.CompareNeighbors(h[l], h[worst]) > 0 {
+			worst = l
+		}
+		if r < len(h) && knngraph.CompareNeighbors(h[r], h[worst]) > 0 {
+			worst = r
+		}
+		if worst == i {
+			return h
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }

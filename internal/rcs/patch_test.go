@@ -16,8 +16,10 @@ func TestCandidatesForMatchesBatchBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := Build(d, BuildOptions{NoPivot: true})
+	// One counter reused across users, as the Maintainer reuses its own.
+	var c Counter
 	for u := 0; u < d.NumUsers(); u += 7 { // sample users, keep the test fast
-		got := CandidatesFor(d, uint32(u), BuildOptions{})
+		got := CandidatesFor(d, uint32(u), BuildOptions{}, &c)
 		want := batch.List(uint32(u))
 		if len(got) != len(want) {
 			t.Fatalf("user %d: %d candidates, batch has %d", u, len(got), len(want))
@@ -37,7 +39,7 @@ func TestCandidatesForHonorsMinRating(t *testing.T) {
 	}
 	batch := Build(d, BuildOptions{NoPivot: true, MinRating: 3})
 	for u := 0; u < d.NumUsers(); u += 11 {
-		got := CandidatesFor(d, uint32(u), BuildOptions{MinRating: 3})
+		got := CandidatesFor(d, uint32(u), BuildOptions{MinRating: 3}, nil)
 		want := batch.List(uint32(u))
 		if len(got) != len(want) {
 			t.Fatalf("user %d: %d candidates, batch has %d", u, len(got), len(want))
@@ -60,7 +62,7 @@ func TestPatchUserAppendsAndReplaces(t *testing.T) {
 	}
 
 	// Patch an existing user: list installed, cursor rewound, stats kept.
-	s.PatchUser(d, 0, BuildOptions{})
+	s.PatchUser(d, 0, BuildOptions{}, nil)
 	if s.Len(0) == 0 {
 		t.Fatal("patched user has no candidates (Alice shares coffee with Bob)")
 	}
@@ -72,7 +74,7 @@ func TestPatchUserAppendsAndReplaces(t *testing.T) {
 	}
 	// Re-patching rewinds the cursor and keeps totals consistent.
 	before := s.BuildStats.TotalCandidates
-	s.PatchUser(d, 0, BuildOptions{})
+	s.PatchUser(d, 0, BuildOptions{}, nil)
 	if s.BuildStats.TotalCandidates != before {
 		t.Errorf("re-patch changed TotalCandidates: %d vs %d", s.BuildStats.TotalCandidates, before)
 	}
@@ -85,7 +87,7 @@ func TestPatchUserAppendsAndReplaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PatchUser(d, id, BuildOptions{})
+	s.PatchUser(d, id, BuildOptions{}, nil)
 	if s.NumUsers() != n+1 {
 		t.Fatalf("NumUsers after append-patch = %d, want %d", s.NumUsers(), n+1)
 	}
@@ -100,7 +102,7 @@ func TestPatchUserAppendsAndReplaces(t *testing.T) {
 			t.Error("PatchUser beyond NumUsers must panic")
 		}
 	}()
-	s.PatchUser(d, id+2, BuildOptions{})
+	s.PatchUser(d, id+2, BuildOptions{}, nil)
 }
 
 // TestPatchUserStatsStayConsistent recomputes the aggregate stats from
@@ -112,7 +114,7 @@ func TestPatchUserStatsStayConsistent(t *testing.T) {
 	}
 	s := NewSets(d.NumUsers())
 	for u := 0; u < d.NumUsers(); u++ {
-		s.PatchUser(d, uint32(u), BuildOptions{})
+		s.PatchUser(d, uint32(u), BuildOptions{}, nil)
 	}
 	total := 0
 	maxLen := 0

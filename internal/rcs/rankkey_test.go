@@ -53,3 +53,40 @@ func TestRankKeyMatchesCompareRanked(t *testing.T) {
 		}
 	}
 }
+
+// TestCounterMatchesMapCount pins the epoch-stamped Counter to a plain
+// map count over many reused epochs, a growing population and an epoch
+// wrap-around: Touched must hold each counted user once, and Ranked must
+// be the CompareRanked order, cut at the limit.
+func TestCounterMatchesMapCount(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	var c Counter
+	for round := 0; round < 200; round++ {
+		if round == 100 {
+			c.cur = ^uint32(0) // the next Begin wraps and hard-resets
+		}
+		n := 1 + round*3
+		c.Begin(n)
+		want := make(map[uint32]int32)
+		for i := r.Intn(4 * n); i > 0; i-- {
+			v := uint32(r.Intn(n))
+			c.Add(v)
+			want[v]++
+		}
+		if len(c.Touched()) != len(want) {
+			t.Fatalf("round %d: %d touched, want %d", round, len(c.Touched()), len(want))
+		}
+		ref := make([]uint32, 0, len(want))
+		for v := range want {
+			ref = append(ref, v)
+		}
+		slices.SortFunc(ref, func(a, b uint32) int { return CompareRanked(want[a], want[b], a, b) })
+		limit := r.Intn(len(ref)+2) - 1 // -1 (all) .. len(ref)
+		if limit >= 0 && limit < len(ref) {
+			ref = ref[:limit]
+		}
+		if got := c.Ranked(nil, limit); !slices.Equal(got, ref) {
+			t.Fatalf("round %d, limit %d: Ranked = %v, want %v", round, limit, got, ref)
+		}
+	}
+}

@@ -94,8 +94,9 @@ type BuildStats struct {
 // through it the whole deterministic pipeline) independent of worker
 // count and map iteration order.
 //
-// The batch counting phase sorts packed (rankKey) integers instead of
+// Build and Counter.Ranked sort packed (rankKey) integers instead of
 // calling this comparator — same order, no per-comparison indirection;
+// it stays as the readable reference, and
 // TestRankKeyMatchesCompareRanked pins the equivalence.
 func CompareRanked(ca, cb int32, a, b uint32) int {
 	switch {
@@ -261,6 +262,83 @@ func NewSets(n int) *Sets {
 	}
 }
 
+// Counter counts shared items for one pivot at a time: a dense array
+// indexed by user ID, epoch-stamped so that starting the next pivot
+// costs nothing (no clearing), plus the list of users touched in the
+// current epoch. It is the counting phase's single-pivot form, shared by
+// incremental patching (CandidatesFor) and query placement
+// (core.Index.Query); Build keeps its own per-worker array. A Counter is
+// single-goroutine scratch memory, reusable across pivots and across
+// populations of any size.
+type Counter struct {
+	// cells packs each user's stamp (high 32 bits) and shared-item count
+	// (low 32 bits), so one load tells both whether the user was touched
+	// this epoch and how often.
+	cells   []uint64
+	cur     uint32
+	touched []uint32
+	keys    []uint64
+}
+
+// Begin starts a new pivot over user IDs in [0, n). Growth is geometric,
+// so a population that grows one user at a time reallocates the array
+// O(log n) times, not once per pivot.
+func (c *Counter) Begin(n int) {
+	if n > len(c.cells) {
+		grown := make([]uint64, max(n, 2*len(c.cells)))
+		copy(grown, c.cells)
+		c.cells = grown
+	}
+	c.cur++
+	if c.cur == 0 { // wrapped: stale stamps could collide; hard-reset
+		clear(c.cells)
+		c.cur = 1
+	}
+	c.touched = c.touched[:0]
+}
+
+// Add counts one more item shared with user v, which must be below the
+// n passed to Begin.
+func (c *Counter) Add(v uint32) {
+	e := c.cells[v]
+	if uint32(e>>32) != c.cur {
+		c.touched = append(c.touched, v)
+		e = uint64(c.cur) << 32
+	}
+	c.cells[v] = e + 1
+}
+
+// Count returns the number of items counted for user v since Begin.
+func (c *Counter) Count(v uint32) int {
+	if e := c.cells[v]; uint32(e>>32) == c.cur {
+		return int(uint32(e))
+	}
+	return 0
+}
+
+// Touched returns the users counted since Begin, in first-touch order.
+// The slice aliases the counter and is valid until the next Begin.
+func (c *Counter) Touched() []uint32 { return c.touched }
+
+// Ranked appends the touched users to dst in CompareRanked order —
+// shared-item count descending, ID ascending — keeping the first limit
+// of them (limit < 0 keeps all).
+func (c *Counter) Ranked(dst []uint32, limit int) []uint32 {
+	keys := c.keys[:0]
+	for _, v := range c.touched {
+		keys = append(keys, rankKey(int32(uint32(c.cells[v])), v))
+	}
+	slices.Sort(keys)
+	c.keys = keys
+	if limit >= 0 && limit < len(keys) {
+		keys = keys[:limit]
+	}
+	for _, k := range keys {
+		dst = append(dst, rankKeyUser(k))
+	}
+	return dst
+}
+
 // CandidatesFor computes the ranked candidate list of a single user
 // against the dataset's *current* item profiles — the incremental
 // counterpart of Build for a user that was just added or whose profile
@@ -272,11 +350,17 @@ func NewSets(n int) *Sets {
 // as given: callers on binary datasets must pass 0 (Build gates this
 // itself once per batch; re-scanning all profiles here, per patched
 // user, would make a mutation stream quadratic).
-func CandidatesFor(d *dataset.Dataset, u uint32, opts BuildOptions) []uint32 {
+//
+// c is the caller's reusable counter (nil counts in a one-off one); the
+// returned list is freshly allocated.
+func CandidatesFor(d *dataset.Dataset, u uint32, opts BuildOptions, c *Counter) []uint32 {
 	d.EnsureItemProfiles()
+	if c == nil {
+		c = new(Counter)
+	}
+	c.Begin(d.NumUsers())
 	minRating := opts.MinRating
 	profile := d.Users[u]
-	counts := make(map[uint32]int32)
 	for idx, it := range profile.IDs {
 		if minRating > 0 && profile.Weight(idx) < minRating {
 			continue
@@ -288,19 +372,10 @@ func CandidatesFor(d *dataset.Dataset, u uint32, opts BuildOptions) []uint32 {
 			if minRating > 0 && d.Users[v].WeightOf(it) < minRating {
 				continue
 			}
-			counts[v]++
+			c.Add(v)
 		}
 	}
-	keys := make([]uint64, 0, len(counts))
-	for v, c := range counts {
-		keys = append(keys, rankKey(c, v))
-	}
-	slices.Sort(keys)
-	list := make([]uint32, 0, len(keys))
-	for _, k := range keys {
-		list = append(list, rankKeyUser(k))
-	}
-	return list
+	return c.Ranked(make([]uint32, 0, len(c.Touched())), -1)
 }
 
 // PatchUser installs the freshly computed candidate list of user u and
@@ -308,9 +383,9 @@ func CandidatesFor(d *dataset.Dataset, u uint32, opts BuildOptions) []uint32 {
 // appends a slot for a user that was just added to the dataset. Patched
 // lists carry no shared-item counts even when the sets were built with
 // KeepCounts (the correlation experiments that need counts operate on
-// batch-built sets).
-func (s *Sets) PatchUser(d *dataset.Dataset, u uint32, opts BuildOptions) {
-	list := CandidatesFor(d, u, opts)
+// batch-built sets). c is the counter CandidatesFor counts in.
+func (s *Sets) PatchUser(d *dataset.Dataset, u uint32, opts BuildOptions, c *Counter) {
+	list := CandidatesFor(d, u, opts, c)
 	switch {
 	case int(u) < len(s.lists):
 		s.BuildStats.TotalCandidates -= len(s.lists[u])

@@ -575,6 +575,14 @@ func (s *Server) apply(batch []op) {
 		}
 	}
 	flushRatings()
+	// Mirror the writer's stats before acknowledging, so a client that
+	// reads /stats right after its acknowledged write sees that write.
+	if s.m != nil {
+		run := s.m.Stats()
+		s.maintainStats.Store(&run)
+	}
+	counters := s.w.Counters()
+	s.maintainCounters.Store(&counters)
 	if f := s.cfg.Faults; f != nil && !s.flushing {
 		// The stall window: state is applied and published but clients
 		// have not been acknowledged. A crash here turns acknowledged
@@ -587,12 +595,6 @@ func (s *Server) apply(batch []op) {
 	for _, pr := range replies {
 		pr.ch <- pr.res
 	}
-	if s.m != nil {
-		run := s.m.Stats()
-		s.maintainStats.Store(&run)
-	}
-	counters := s.w.Counters()
-	s.maintainCounters.Store(&counters)
 	s.metrics.batches.Inc()
 	s.metrics.batchSize.Observe(float64(len(batch)))
 	s.cfg.Logf("server: applied batch of %d ops (%d mutations), version %d",

@@ -19,7 +19,6 @@
 package similarity
 
 import (
-	"math"
 	"sync/atomic"
 
 	"kiff/internal/dataset"
@@ -177,17 +176,20 @@ func (b *cosineBatcher) ScoreInto(dst []float64, u uint32, cands []uint32) {
 			dst[i] = 0
 			continue
 		}
-		pv := users[v]
-		var dot float64
-		if binaryPivot && pv.IsBinary() {
-			// Match the pairwise fast path bit-for-bit: Dot on two
-			// binary vectors is float64(CommonCount).
-			dot = float64(b.scratch.CountCommon(pv))
-		} else {
-			dot, _ = b.scratch.DotCount(pv)
-		}
-		dst[i] = dot / (nu * nv)
+		dst[i] = cosineGather(&b.scratch, binaryPivot, users[v]) / (nu * nv)
 	}
+}
+
+// cosineGather is cosine's gather: the dot product of the scattered
+// pivot (stamped with weight 1 when binaryPivot) and pv.
+func cosineGather(s *sparse.Scratch, binaryPivot bool, pv sparse.Vector) float64 {
+	if binaryPivot && pv.IsBinary() {
+		// Match the pairwise fast path bit-for-bit: Dot on two binary
+		// vectors is float64(CommonCount).
+		return float64(s.CountCommon(pv))
+	}
+	dot, _ := s.DotCount(pv)
+	return dot
 }
 
 // PrepareBatch implements BatchMetric.
@@ -241,13 +243,23 @@ func (b *countBatcher) ScoreInto(dst []float64, u uint32, cands []uint32) {
 	}
 }
 
+// The count metrics' formulas over the shared count and the two profile
+// lengths, shared by the batchers and the query forms (query.go).
+func jaccardFinish(common, lenU, lenV int) float64 {
+	return float64(common) / float64(lenU+lenV-common)
+}
+
+func diceFinish(common, lenU, lenV int) float64 {
+	return 2 * float64(common) / float64(lenU+lenV)
+}
+
+func overlapFinish(common, _, _ int) float64 { return float64(common) }
+
 // PrepareBatch implements BatchMetric.
 func (Jaccard) PrepareBatch(d *dataset.Dataset) BatchFactory {
 	pair := Jaccard{}.Prepare(d)
 	return func() Batcher {
-		return &countBatcher{d: d, pair: pair, finish: func(common, lenU, lenV int) float64 {
-			return float64(common) / float64(lenU+lenV-common)
-		}}
+		return &countBatcher{d: d, pair: pair, finish: jaccardFinish}
 	}
 }
 
@@ -262,9 +274,7 @@ func (Jaccard) PrepareIncrementalBatch(d *dataset.Dataset) (Func, BatchFactory, 
 func (Overlap) PrepareBatch(d *dataset.Dataset) BatchFactory {
 	pair := Overlap{}.Prepare(d)
 	return func() Batcher {
-		return &countBatcher{d: d, pair: pair, finish: func(common, _, _ int) float64 {
-			return float64(common)
-		}}
+		return &countBatcher{d: d, pair: pair, finish: overlapFinish}
 	}
 }
 
@@ -278,9 +288,7 @@ func (Overlap) PrepareIncrementalBatch(d *dataset.Dataset) (Func, BatchFactory, 
 func (Dice) PrepareBatch(d *dataset.Dataset) BatchFactory {
 	pair := Dice{}.Prepare(d)
 	return func() Batcher {
-		return &countBatcher{d: d, pair: pair, finish: func(common, lenU, lenV int) float64 {
-			return 2 * float64(common) / float64(lenU+lenV)
-		}}
+		return &countBatcher{d: d, pair: pair, finish: diceFinish}
 	}
 }
 
@@ -330,9 +338,7 @@ func (AdamicAdar) PrepareBatch(d *dataset.Dataset) BatchFactory {
 	d.EnsureItemProfiles()
 	invLog := make([]float64, len(d.Items))
 	for i, ip := range d.Items {
-		if len(ip) >= 2 {
-			invLog[i] = 1 / math.Log(float64(len(ip)))
-		}
+		invLog[i] = adamicTerm(len(ip))
 	}
 	pair := AdamicAdar{}.Prepare(d)
 	return func() Batcher { return &adamicBatcher{d: d, invLog: invLog, pair: pair} }

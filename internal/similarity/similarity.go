@@ -173,11 +173,7 @@ func (AdamicAdar) Prepare(d *dataset.Dataset) Func {
 	users := d.Users
 	invLog := make([]float64, len(d.Items))
 	for i, ip := range d.Items {
-		if len(ip) >= 2 {
-			invLog[i] = 1 / math.Log(float64(len(ip)))
-		}
-		// Items rated by a single user can never be shared; leaving 0
-		// keeps Eq. (5) intact even if they were.
+		invLog[i] = adamicTerm(len(ip))
 	}
 	return func(u, v uint32) float64 {
 		var s float64
@@ -198,6 +194,16 @@ func (AdamicAdar) Prepare(d *dataset.Dataset) Func {
 		}
 		return s
 	}
+}
+
+// adamicTerm is one shared item's Adamic–Adar weight, 1/ln|IPi| for an
+// item rated by raters users. Items rated by a single user can never be
+// shared; weighing them 0 keeps Eq. (5) intact even if they were.
+func adamicTerm(raters int) float64 {
+	if raters < 2 {
+		return 0
+	}
+	return 1 / math.Log(float64(raters))
 }
 
 // Overlap is the raw common-item count |A∩B| — the coarse metric KIFF's

@@ -66,6 +66,9 @@ type Maintainer struct {
 	dirty   map[uint32]struct{}
 	scratch []uint32
 	scores  []float64
+	// counter is the shared-item counter every candidate-set patch
+	// counts in (rcs.CandidatesFor), reused across writes.
+	counter rcs.Counter
 
 	inserts      int64
 	rebuilds     int64
@@ -376,7 +379,7 @@ func (m *Maintainer) Insert(p Profile) (uint32, error) {
 		return 0, err
 	}
 	m.heaps.Grow(1)
-	m.sets.PatchUser(m.d, id, m.rcsOpts())
+	m.sets.PatchUser(m.d, id, m.rcsOpts(), &m.counter)
 	m.noteMutation(id)
 	m.refineUser(id)
 	m.inserts++
@@ -422,7 +425,7 @@ func (m *Maintainer) InsertBatch(ps []Profile) ([]uint32, error) {
 		if err != nil {
 			return ids, fmt.Errorf("kiff: insert batch: %w", err)
 		}
-		m.sets.PatchUser(m.d, id, m.rcsOpts())
+		m.sets.PatchUser(m.d, id, m.rcsOpts(), &m.counter)
 		m.noteMutation(id)
 		m.refineUser(id)
 		m.inserts++
@@ -525,7 +528,7 @@ func (m *Maintainer) Rebuild(dirty []uint32) error {
 	}
 	slices.Sort(order)
 	for _, u := range order {
-		m.sets.PatchUser(m.d, u, m.rcsOpts())
+		m.sets.PatchUser(m.d, u, m.rcsOpts(), &m.counter)
 		m.heaps.Clear(u)
 	}
 	// Evict stale entries: any surviving heap reference to a rebuilt user

@@ -37,7 +37,7 @@ func refRebuild(m *Maintainer, dirty []uint32) error {
 	}
 	slices.Sort(order)
 	for _, u := range order {
-		m.sets.PatchUser(m.d, u, m.rcsOpts())
+		m.sets.PatchUser(m.d, u, m.rcsOpts(), &m.counter)
 		m.heaps.Clear(u)
 	}
 	for v := 0; v < n; v++ {
